@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -21,12 +22,14 @@ import numpy as np
 from .copulas import joint_maxmin_H, joint_rmm_product, rmm2
 from .distfn import DiracStep, Exponential, lifetime_max, lifetime_min
 from .genfn import extend_chi, extend_phi, to_rmm
-from .imprecise import PBox, ShockModel, build_bounds, rmm_envelope
+from .imprecise import PBox, ShockModel, build_bounds, rmm_envelope, rmm_envelope_grid
 from .verify import SUITE_NAMES, copula_grid, run_suite
 
 BOUND_CHOICES = ("lower", "upper", "precise", "envelope_inf", "envelope_sup")
 DEFAULT_SEED = 20250819
 _MAX_GRID_ROWS = 2_000_000
+# rows per write in write_surface_csv; larger blocks raise peak memory
+_WRITE_BLOCK_ROWS = 2048
 
 
 def _fmt(value: float) -> str:
@@ -34,23 +37,22 @@ def _fmt(value: float) -> str:
 
 
 def write_surface_csv(stream, axes: list[np.ndarray], values: np.ndarray) -> int:
-    """Rows in row-major order; floats as shortest round-trip decimals."""
+    """Rows in row-major order; floats as shortest round-trip decimals.
+
+    Each axis value is formatted once; the value column is formatted and
+    the rows are written one block of ``_WRITE_BLOCK_ROWS`` at a time.
+    """
     n = len(axes)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([f"u{k + 1}" for k in range(n)] + ["value"])
-    rows = 0
-    for idx in np.ndindex(*values.shape):
-        writer.writerow([_fmt(axes[k][idx[k]]) for k in range(n)] + [_fmt(values[idx])])
-        rows += 1
-    return rows
-
-
-def read_surface_csv(path) -> tuple[list[str], list[list[float]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    return header, rows
+    stream.write(",".join([f"u{k + 1}" for k in range(n)] + ["value"]) + "\n")
+    labels = [[_fmt(x) + "," for x in axis] for axis in axes]
+    heads = itertools.product(*labels)
+    flat = values.ravel()
+    for s in range(0, flat.size, _WRITE_BLOCK_ROWS):
+        cells = map(repr, flat[s:s + _WRITE_BLOCK_ROWS].tolist())
+        # cells first: zip stops on them without drawing one head too many
+        stream.write("".join(["".join(head) + cell + "\n"
+                              for cell, head in zip(cells, heads)]))
+    return flat.size
 
 
 @click.group()
@@ -70,8 +72,9 @@ def main() -> None:
               type=click.Choice(BOUND_CHOICES),
               help="lower/upper select the copula built from the lower/upper "
                    "bound generators (for the rmm family those surfaces order "
-                   "in reverse); envelope_inf/envelope_sup are the rmm "
-                   "pointwise hulls over all generator vertices.")
+                   "in reverse); envelope_inf/envelope_sup are the rmm min/max "
+                   "over the reduced scan of generator vertices (envelope_sup "
+                   "is not a guaranteed upper bound for n >= 3).")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True),
               help="CSV destination (stdout when omitted).")
 def surface(config: str, family: str | None, grid: int, bound: str, out: str | None) -> None:
@@ -102,10 +105,7 @@ def surface(config: str, family: str | None, grid: int, bound: str, out: str | N
     elif bound == "upper":
         values = copula_grid(bf.upper_gen, axes)
     else:
-        pick = 0 if bound == "envelope_inf" else 1
-        values = np.empty([grid] * model.n)
-        for idx in np.ndindex(*values.shape):
-            values[idx] = rmm_envelope(bf, [float(axis[k]) for k in idx])[pick]
+        values = rmm_envelope_grid(bf, axes)[bound == "envelope_sup"]
 
     if out is None:
         buf = io.StringIO()

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .distfn import DistributionFn, lifetime_max, lifetime_min
 from .genfn import CHI, PHI, PSI, RMM_F, RMM_G, Generator
 
@@ -38,6 +40,7 @@ __all__ = [
     "maxmin_n",
     "rmm_n",
     "rmm_from_values",
+    "rmm_values",
     "joint_marshall_H",
     "joint_maxmin_H",
     "joint_rmm_product",
@@ -187,6 +190,32 @@ def rmm_from_values(u: Sequence[float], fvals: Sequence[float], p: int) -> float
                     rest *= shifted[l]
             best = min(best, (u[i] * u[j] - fvals[i] * fvals[j]) * rest)
     return max(0.0, best)
+
+
+def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """:func:`rmm_from_values` over per-coordinate arrays that broadcast together.
+
+    The products run over ascending ``l`` with elementwise operations only,
+    so every entry is bit-identical to the scalar formula at that point.
+    """
+    n = len(us)
+    if len(fs) != n:
+        raise ValueError(f"expected {n} generator arrays, got {len(fs)}")
+    if not 1 <= p < n:
+        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
+    shifted = [us[l] + fs[l] for l in range(n)]
+    best = None
+    for i in range(p):
+        for j in range(p, n):
+            t = us[i] * us[j] - fs[i] * fs[j]
+            rest = None
+            for l in range(n):
+                if l != i and l != j:
+                    rest = shifted[l] if rest is None else rest * shifted[l]
+            if rest is not None:
+                t = t * rest
+            best = t if best is None else np.minimum(best, t)
+    return np.maximum(best, 0.0)
 
 
 def rmm_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:

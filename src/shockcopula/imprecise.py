@@ -14,7 +14,8 @@ path covers both).  From a model, :func:`build_bounds` derives
   versa.
 
 Bound joint surfaces compose bound copulas with bound marginals; the rmm
-envelope evaluates reduced vertex sets of lower/upper generator choices.
+envelope evaluates reduced vertex sets of lower/upper generator choices,
+point by point or over a whole grid from per-axis generator tables.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .copulas import (
     MAX_DIMENSION,
     GeneratorVector,
@@ -30,6 +33,7 @@ from .copulas import (
     maxmin_n,
     rmm_from_values,
     rmm_n,
+    rmm_values,
 )
 from .distfn import (
     Convex,
@@ -55,12 +59,16 @@ __all__ = [
     "rmm_H_bounds",
     "rmm_envelope",
     "rmm_envelope_full_scan",
+    "rmm_envelope_grid",
     "maxmin_vertex_scan",
     "factorized_pbox",
     "pbox_members",
 ]
 
 _FAMILIES = ("marshall", "maxmin", "rmm")
+
+# grid points per slab of rmm_envelope_grid; keeps its temporaries small
+_SLAB_POINTS = 2048
 
 
 def _probe_points(*dists: DistributionFn) -> list[float]:
@@ -203,10 +211,9 @@ class ShockModel:
         family = spec.get("family")
         boxes = tuple(PBox.from_spec(s) for s in spec["endogenous"])
         p = spec.get("p")
-        if p is None and family == "marshall":
-            pass
-        elif p is not None:
-            p = int(p)
+        # bool is an int subclass; floats and strings are not truncated
+        if p is not None and (isinstance(p, bool) or not isinstance(p, int)):
+            raise ValueError(f"p must be an integer, got {p!r}")
         return cls(family, boxes, dist_from_spec(spec["exogenous"]), p)
 
     def to_spec(self) -> dict:
@@ -440,6 +447,58 @@ def rmm_envelope(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
             vals_sup[j] = flo[j]
             sup_val = max(sup_val, rmm_from_values(u, vals_sup, p))
     return inf_val, sup_val
+
+
+def rmm_envelope_grid(
+    bf: BoundFamily, axes: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rmm_envelope` at every point of an axis grid, as (inf, sup) arrays.
+
+    Each coordinate's lower and upper generator is evaluated once per axis
+    value.  A reduced-scan vertex tuple picks the same table for a
+    coordinate at every grid point, so each tuple is one
+    :func:`rmm_values` call.  The grid is processed in slabs along the
+    first axis to keep temporaries small.  Every entry is bit-identical to
+    the scalar function at that point.
+    """
+    _require_family(bf, "rmm", "rmm envelope")
+    n, p = bf.n, bf.split
+    if len(axes) != n:
+        raise ValueError(f"expected {n} axes, got {len(axes)}")
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    shape = [a.size for a in axes]
+
+    def column(values: np.ndarray, k: int) -> np.ndarray:
+        dims = [1] * n
+        dims[k] = values.size
+        return values.reshape(dims)
+
+    def table(gen: Generator, k: int) -> np.ndarray:
+        return column(np.array([float(gen(float(t))) for t in axes[k]]), k)
+
+    us = [column(a, k) for k, a in enumerate(axes)]
+    lo = [table(g, k) for k, g in enumerate(bf.lower_gen.generators)]
+    hi = [table(g, k) for k, g in enumerate(bf.upper_gen.generators)]
+
+    inf_out = np.empty(shape)
+    sup_out = np.empty(shape)
+    step = max(1, _SLAB_POINTS // max(1, math.prod(shape[1:])))
+    for s in range(0, shape[0], step):
+        e = min(s + step, shape[0])
+        us_s = [us[0][s:e]] + us[1:]
+        lo_s = [lo[0][s:e]] + lo[1:]
+        hi_s = [hi[0][s:e]] + hi[1:]
+        inf_val = sup_val = None
+        for i in range(p):
+            for j in range(p, n):
+                pair = (i, j)
+                c = rmm_values(us_s, [hi_s[k] if k in pair else lo_s[k] for k in range(n)], p)
+                inf_val = c if inf_val is None else np.minimum(inf_val, c)
+                c = rmm_values(us_s, [lo_s[k] if k in pair else hi_s[k] for k in range(n)], p)
+                sup_val = c if sup_val is None else np.maximum(sup_val, c)
+        inf_out[s:e] = inf_val
+        sup_out[s:e] = sup_val
+    return inf_out, sup_out
 
 
 def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Independent verification tooling: oracles, axiom checks, simulation.
 
-Nothing in this module reuses the copula formulas it is meant to check.
-The discrete oracle computes joint probabilities by conditioning on the
+The oracles here reuse none of the copula formulas they are meant to
+check (the dense evaluator :func:`copula_grid` does, for rmm).  The
+discrete oracle computes joint probabilities by conditioning on the
 common shock (and, as a second independent route, by brute-force
 enumeration of the full support lattice).  Monte Carlo estimates come from
 inverse-transform sampling with one counter-based RNG stream per
@@ -30,6 +31,7 @@ from .copulas import (
     marshall_n,
     maxmin_n,
     rmm_n,
+    rmm_values,
 )
 from .distfn import (
     Clamp,
@@ -57,6 +59,7 @@ from .imprecise import (
     rmm_H_bounds,
     rmm_envelope,
     rmm_envelope_full_scan,
+    rmm_envelope_grid,
 )
 
 __all__ = [
@@ -180,9 +183,10 @@ class CheckReport:
 def copula_grid(gv: GeneratorVector, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Dense evaluation of a generator vector's copula on an axis grid.
 
-    Vectorized re-implementation of the scalar family formulas (kept in
-    lockstep by tests); used where point-by-point evaluation would dominate
-    a suite's runtime.
+    Vectorized re-implementation of the marshall and maxmin formulas (kept
+    in lockstep by tests); rmm goes through :func:`copulas.rmm_values`, the
+    package's one array form of the rmm pair formula.  Used where
+    point-by-point evaluation would dominate a suite's runtime.
     """
     n = gv.n
     if len(axes) != n:
@@ -244,22 +248,15 @@ def copula_grid(gv: GeneratorVector, axes: Sequence[np.ndarray]) -> np.ndarray:
             prefactor = prefactor * F[i]
         return prefactor * total
 
-    shifted = [U[k] + F[k] for k in range(n)]
-    best = None
-    for i in range(p):
-        for j in range(p, n):
-            rest = None
-            for l in range(n):
-                if l != i and l != j:
-                    rest = shifted[l] if rest is None else rest * shifted[l]
-            t = U[i] * U[j] - F[i] * F[j]
-            if rest is not None:
-                t = t * rest
-            best = t if best is None else np.minimum(best, t)
-    return np.maximum(np.broadcast_to(best, [a.size for a in axes]), 0.0)
+    return rmm_values(U, F, p)
 
 
 def _grid_values(C, n: int, grid: np.ndarray) -> np.ndarray:
+    """C on the n-fold grid; C is a callable, a GeneratorVector or the values."""
+    if isinstance(C, np.ndarray):
+        if C.shape != (grid.size,) * n:
+            raise ValueError(f"expected values of shape {(grid.size,) * n}, got {C.shape}")
+        return C
     if isinstance(C, GeneratorVector):
         return copula_grid(C, [grid] * n)
     V = np.empty([grid.size] * n)
@@ -307,7 +304,8 @@ def check_quasicopula(C, n: int, grid_size: int = 21, tol: float = 1e-12, label=
     """Margins, groundedness, monotonicity, and 1-Lipschitz continuity.
 
     Deliberately does not test n-increasingness; envelope surfaces may
-    legitimately fail it while passing here.
+    legitimately fail it while passing here.  ``C`` may also be the values
+    already evaluated on the uniform grid of ``grid_size`` points per axis.
     """
     grid = np.linspace(0.0, 1.0, grid_size)
     h = 1.0 / (grid_size - 1)
@@ -909,11 +907,12 @@ def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instanc
 
     # envelope surfaces are quasi-copulas; scan one modest instance per call
     env_model = random_pbox_shock_model(rng, "rmm", 3)
-    env_bf = build_bounds(env_model)
+    env_grid = np.linspace(0.0, 1.0, 11)
+    envelopes = rmm_envelope_grid(build_bounds(env_model), [env_grid] * 3)
     quasi = CheckReport("rmm-envelope-quasicopula", 2)
-    for pick, tag in ((0, "inf"), (1, "sup")):
-        surface = lambda u, _pick=pick: rmm_envelope(env_bf, u)[_pick]
-        sub = check_quasicopula(surface, 3, grid_size=11, tol=1e-12, label=f"envelope-{tag}")
+    for values, tag in zip(envelopes, ("inf", "sup")):
+        sub = check_quasicopula(values, 3, grid_size=env_grid.size, tol=1e-12,
+                                label=f"envelope-{tag}")
         quasi.failures.extend(sub.failures)
     checks.append(quasi)
 

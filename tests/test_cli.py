@@ -1,5 +1,6 @@
 """Command line interface: surfaces, fixtures, verification wiring."""
 
+import io
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from shockcopula import cli
-from shockcopula.cli import main, read_surface_csv
-from shockcopula.imprecise import ShockModel, build_bounds
+from shockcopula.cli import main, write_surface_csv
+from shockcopula.imprecise import ShockModel, build_bounds, rmm_envelope
 from shockcopula.verify import copula_grid
+from surface_csv import read_surface_csv, reference_surface_csv
 
 RMM_PRECISE = {
     "family": "rmm",
@@ -29,6 +31,20 @@ RMM_BOXED = {
          "upper": {"kind": "exponential", "rate": 2.0}},
         {"lower": {"kind": "exponential", "rate": 1.0},
          "upper": {"kind": "exponential", "rate": 2.0}},
+    ],
+    "exogenous": {"kind": "dirac", "location": 1.0},
+}
+
+RMM_BOXED_3 = {
+    "family": "rmm",
+    "p": 1,
+    "endogenous": [
+        {"lower": {"kind": "exponential", "rate": 1.0},
+         "upper": {"kind": "exponential", "rate": 2.0}},
+        {"lower": {"kind": "exponential", "rate": 1.0},
+         "upper": {"kind": "exponential", "rate": 2.0}},
+        {"lower": {"kind": "uniform", "a": 0.0, "b": 3.0},
+         "upper": {"kind": "uniform", "a": 0.0, "b": 2.0}},
     ],
     "exogenous": {"kind": "dirac", "location": 1.0},
 }
@@ -115,16 +131,61 @@ def test_surface_bound_choices_order_the_rmm_family_in_reverse(runner, tmp_path)
     assert strict > 0
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bound", ["envelope_inf", "envelope_sup"])
+def test_surface_envelope_matches_the_per_point_loop_byte_for_byte(runner, tmp_path, bound, p):
+    spec = dict(RMM_BOXED_3, p=p)
+    config = write_config(tmp_path, spec)
+    out = tmp_path / "surface.csv"
+    result = runner.invoke(main, ["surface", "--config", config, "--grid", "7",
+                                  "--bound", bound, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    bf = build_bounds(ShockModel.from_spec(spec))
+    axis = np.linspace(0.0, 1.0, 7)
+    values = np.empty([7] * 3)
+    for idx in np.ndindex(*values.shape):
+        values[idx] = rmm_envelope(bf, [float(axis[k]) for k in idx])[bound == "envelope_sup"]
+    want = io.StringIO()
+    reference_surface_csv(want, [axis] * 3, values)
+    assert out.read_bytes() == want.getvalue().encode()
+
+
+WRITER_VALUES = (1e-05, 0.1 + 0.2, 5e-324, -0.0, 0.0, 1.0, 1.0 / 3.0, 2.5e-16,
+                 0.9999999999999999, 123456.789, 1e22, 7.0)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 2048])
+def test_block_writer_matches_the_csv_writer_reference(monkeypatch, block):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block)
+    rng = np.random.default_rng(11)
+    cases = []
+    for shape in ((4, 3), (2, 5, 3), (len(WRITER_VALUES), 2)):
+        axes = [np.array(WRITER_VALUES[:size]) for size in shape]
+        values = rng.choice(np.array(WRITER_VALUES), size=shape)
+        cases.append((axes, values))
+    axis = np.linspace(0.0, 1.0, 13)
+    cases.append(([axis] * 3, rng.random((13, 13, 13))))
+    for axes, values in cases:
+        got, want = io.StringIO(), io.StringIO()
+        rows = write_surface_csv(got, axes, values)
+        assert rows == reference_surface_csv(want, axes, values) == values.size
+        assert got.getvalue() == want.getvalue()
+
+
 def test_surface_rejects_bad_requests(runner, tmp_path):
     boxed = write_config(tmp_path, RMM_BOXED)
     marshall = write_config(tmp_path, MARSHALL, "marshall.json")
     broken = write_config(tmp_path, {"family": "rmm"}, "broken.json")
+    fractional = write_config(tmp_path, dict(RMM_BOXED, p=1.5), "fractional.json")
 
     result = runner.invoke(main, ["surface", "--config", str(tmp_path / "none.json")])
     assert result.exit_code == 2
 
     result = runner.invoke(main, ["surface", "--config", broken])
     assert result.exit_code == 2 and "bad model config" in result.output
+
+    result = runner.invoke(main, ["surface", "--config", fractional])
+    assert result.exit_code == 2 and "p must be an integer" in result.output
 
     result = runner.invoke(main, ["surface", "--config", boxed, "--family", "marshall"])
     assert result.exit_code == 2 and "declares family" in result.output

@@ -3,8 +3,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from shockcopula import imprecise
 from shockcopula.copulas import joint_marshall_H, joint_maxmin_H, joint_rmm_product, rmm_n
 from shockcopula.distfn import DiracStep, Discrete, Exponential, Uniform
 from shockcopula.imprecise import (
@@ -21,6 +23,7 @@ from shockcopula.imprecise import (
     rmm_bivariate_copula_bounds,
     rmm_envelope,
     rmm_envelope_full_scan,
+    rmm_envelope_grid,
     rmm_H_bounds,
 )
 from shockcopula.verify import philox_stream, random_pbox_shock_model
@@ -312,6 +315,69 @@ def test_envelope_contains_member_copulas():
                 # convex members landing inside as well is an observation
                 c = gv((u, v))
                 assert lo - 1e-9 <= c <= hi + 1e-9, (u, v)
+
+
+def continuous_box(rng):
+    """Exponential or uniform bounds with the lower cdf below the upper one."""
+    if rng.random() < 0.5:
+        rate = float(rng.uniform(0.3, 2.0))
+        return PBox(Exponential(rate), Exponential(rate * float(rng.uniform(1.2, 3.0))))
+    b = float(rng.uniform(1.0, 4.0))
+    return PBox(Uniform(0.0, b), Uniform(0.0, b * float(rng.uniform(0.4, 0.9))))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_grid_matches_scalar(bf, axes):
+    inf, sup = rmm_envelope_grid(bf, axes)
+    assert inf.shape == sup.shape == tuple(a.size for a in axes)
+    want = np.empty((2,) + inf.shape)
+    for idx in np.ndindex(*inf.shape):
+        want[(slice(None),) + idx] = rmm_envelope(bf, [float(axes[k][i]) for k, i in enumerate(idx)])
+    assert np.array_equal(bits(inf), bits(want[0])) and np.array_equal(bits(sup), bits(want[1]))
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_envelope_grid_equals_the_scalar_envelope_bit_for_bit(monkeypatch, kind):
+    rng = philox_stream(8080, 1 if kind == "continuous" else 2)
+    sizes = {2: 9, 3: 7, 4: 5}
+    for n in (2, 3, 4):
+        for p in range(1, n):
+            if kind == "continuous":
+                model = ShockModel("rmm", tuple(continuous_box(rng) for _ in range(n)),
+                                   Exponential(float(rng.uniform(0.5, 2.0))), p)
+            else:
+                drawn = random_pbox_shock_model(rng, "rmm", n)
+                model = ShockModel("rmm", drawn.endogenous, drawn.exogenous, p)
+            bf = build_bounds(model)
+            # the faces u = 0 and u = 1 on every axis, plus interior draws
+            axes = [np.concatenate([[0.0, 1.0], np.sort(rng.uniform(0.0, 1.0, sizes[n] - 2))])
+                    for _ in range(n)]
+            assert_grid_matches_scalar(bf, axes)
+            # two-index slabs, so the odd first axis ends in a short one
+            monkeypatch.setattr(imprecise, "_SLAB_POINTS", 2 * sizes[n] ** (n - 1))
+            assert_grid_matches_scalar(bf, axes)
+            monkeypatch.undo()
+
+
+def test_envelope_grid_checks_its_inputs():
+    axis = np.linspace(0.0, 1.0, 3)
+    bf = build_bounds(rate_box_model())
+    with pytest.raises(ValueError):
+        rmm_envelope_grid(bf, [axis])
+    marshall = rate_box_model("marshall")
+    with pytest.raises(ValueError):
+        rmm_envelope_grid(build_bounds(marshall), [axis, axis])
+
+
+def test_from_spec_rejects_a_non_integer_split():
+    spec = rate_box_model(n=3).to_spec()
+    for p in (1.5, 2.0, "1", True):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            ShockModel.from_spec(dict(spec, p=p))
+    assert ShockModel.from_spec(dict(spec, p=2)).p == 2
 
 
 def test_vertex_scan_reports_cleanly():

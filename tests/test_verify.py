@@ -10,7 +10,7 @@ from shockcopula import verify
 from shockcopula.copulas import GeneratorVector
 from shockcopula.distfn import Convex, DiracStep, Discrete, Exponential
 from shockcopula.genfn import validate
-from shockcopula.imprecise import PBox, ShockModel
+from shockcopula.imprecise import PBox, ShockModel, build_bounds
 from shockcopula.verify import (
     CheckReport,
     DiscreteModelOracle,
@@ -127,6 +127,58 @@ def test_copula_grid_matches_scalar_evaluation():
             for idx in itertools.product(*(range(a.size) for a in axes)):
                 point = [float(axes[k][i]) for k, i in enumerate(idx)]
                 assert abs(V[idx] - gv(point)) < 1e-14, (family, point)
+
+
+def broadcast_rmm_grid(gv, axes):
+    """The rmm branch of copula_grid as written before it called rmm_values."""
+    n, p = gv.n, gv.split
+    shape = [a.size for a in axes]
+
+    def bc(values, k):
+        dims = [1] * n
+        dims[k] = values.size
+        return values.reshape(dims)
+
+    U = [bc(axes[k], k) for k in range(n)]
+    F = [bc(np.array([float(gen(t)) for t in axes[k]]), k) for k, gen in enumerate(gv.generators)]
+    shifted = [U[k] + F[k] for k in range(n)]
+    best = None
+    for i in range(p):
+        for j in range(p, n):
+            rest = None
+            for l in range(n):
+                if l != i and l != j:
+                    rest = shifted[l] if rest is None else rest * shifted[l]
+            t = U[i] * U[j] - F[i] * F[j]
+            if rest is not None:
+                t = t * rest
+            best = t if best is None else np.minimum(best, t)
+    return np.maximum(np.broadcast_to(best, shape), 0.0)
+
+
+def test_copula_grid_rmm_is_bit_identical_to_the_broadcast_formula():
+    rng = philox_stream(9090, 4)
+    for n in (2, 3, 4, 5):
+        axes = [np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 4)]) for _ in range(n)]
+        gvs = [random_generator_vector(rng, "rmm", n) for _ in range(3)]
+        gvs.append(build_bounds(random_pbox_shock_model(rng, "rmm", n)).upper_gen)
+        for gv in gvs:
+            got, want = copula_grid(gv, axes), broadcast_rmm_grid(gv, axes)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_quasicopula_checker_accepts_evaluated_values():
+    grid = np.linspace(0.0, 1.0, 9)
+    V = np.minimum.outer(grid, grid)
+    from_values = check_quasicopula(V, 2, grid_size=9)
+    from_callable = check_quasicopula(MINIMUM, 2, grid_size=9)
+    assert from_values.passed and from_values.failures == from_callable.failures
+    broken = V.copy()
+    broken[3, 4] += 0.5
+    assert not check_quasicopula(broken, 2, grid_size=9).passed
+    with pytest.raises(ValueError):
+        check_quasicopula(V, 2, grid_size=11)
 
 
 # -- the discrete oracle -----------------------------------------------------------
