@@ -327,6 +327,7 @@ def joint_maxmin_H(
     ft = math.prod(components[i].value(x[i]) for i in range(p))
     min_t = min(x[:p])
     m = n - p
+    fs = [components[p + b].value(x[p + b]) for b in range(m)]
     total = 0.0
     for mask in range(1 << m):
         lo_arg = min_t
@@ -340,7 +341,7 @@ def joint_maxmin_H(
                     lo_arg = xj
             else:
                 empty_rest = False
-                weight *= components[p + b].value(xj)
+                weight *= fs[b]
                 if xj > hi_fz:
                     hi_fz = xj
         fz_lo = 0.0 if empty_rest else shock.value(hi_fz)

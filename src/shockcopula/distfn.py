@@ -26,14 +26,25 @@ Composites:
 One-sided limits of all composites factor through the components because
 the lattice/arithmetic operations used are continuous and monotone, so the
 composites are exact as well.
+
+Level crossings (``smallest_preimage`` / ``largest_preimage``) of the
+composites and of PiecewiseLinearWithJumps use a table of one-sided limits
+at the jump points, built once at construction: one bisection of the table
+finds the jump where the crossing happens or the continuous stretch it lies
+in, and a bisection of the function to the float fixpoint then locates a
+crossing inside that stretch.  The parametric kinds and Discrete invert in
+closed form or by table lookup of their own.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 __all__ = [
     "DistributionFn",
@@ -59,7 +70,11 @@ POS_INF = float("inf")
 
 
 class DistributionFn(ABC):
-    """A monotone function R -> [0, 1] with F(-inf) = 0, F(+inf) = 1."""
+    """A monotone function R -> [0, 1] with F(-inf) = 0, F(+inf) = 1.
+
+    A subclass that keeps the preimage searches defined here sets
+    ``_limits = _LimitTable.of(self)`` at the end of its construction.
+    """
 
     @abstractmethod
     def value(self, x: float) -> float:
@@ -77,8 +92,8 @@ class DistributionFn(ABC):
     def jump_points(self) -> tuple[float, ...]:
         """Sorted coordinates where F(x-) < F(x+) may hold.
 
-        A superset of the true jump set is fine (extra points are scanned
-        and skipped); missing a jump is not.
+        A superset of the true jump set is fine (an extra point only adds
+        a row to the preimage table); missing a jump is not.
         """
 
     def survival(self, x: float) -> float:
@@ -89,31 +104,65 @@ class DistributionFn(ABC):
     def smallest_preimage(self, u: float) -> float:
         """Smallest x0 with F(x0-) <= u <= F(x0+), i.e. inf{x : F(x) >= u}.
 
-        Defined for u strictly between 0 and 1.  Jump coordinates are
-        matched exactly; crossings inside continuous segments are located
-        by bisection run to the float fixpoint.
+        Defined for u strictly between 0 and 1.  The first jump whose left
+        or right limit reaches u is found by one bisection of the jump-limit
+        table the object builds at construction (``_limits``); a crossing
+        inside a continuous segment is then located by bisection run to the
+        float fixpoint.
         """
         _require_interior(u)
-        prev: float | None = None
-        for xj in self.jump_points():
-            if self.left_limit(xj) >= u:
-                return _upcrossing(self, prev, xj, u)
-            if self.right_limit(xj) >= u:
-                return xj
-            prev = xj
-        return _upcrossing(self, prev, None, u)
+        t = self._limits
+        j = bisect_left(t.rising, u)
+        if j == len(t.xs):
+            return _upcrossing(self, t.xs[-1] if t.xs else None, None, u)
+        if t.lefts[j] >= u:
+            return _upcrossing(self, t.xs[j - 1] if j else None, t.xs[j], u)
+        return t.xs[j]
 
     def largest_preimage(self, u: float) -> float:
-        """Largest x0 with F(x0-) <= u <= F(x0+), i.e. sup{x : F(x) <= u}."""
+        """Largest x0 with F(x0-) <= u <= F(x0+), i.e. sup{x : F(x) <= u}.
+
+        The mirror image of :meth:`smallest_preimage`: the last jump whose
+        left or right limit is at most u comes from one bisection of the
+        jump-limit table, then continuous bisection if needed.
+        """
         _require_interior(u)
-        nxt: float | None = None
-        for xj in reversed(self.jump_points()):
-            if self.right_limit(xj) <= u:
-                return _downcrossing(self, xj, nxt, u)
-            if self.left_limit(xj) <= u:
-                return xj
-            nxt = xj
-        return _downcrossing(self, None, nxt, u)
+        t = self._limits
+        j = bisect_right(t.falling, u) - 1
+        if j < 0:
+            return _downcrossing(self, None, t.xs[0] if t.xs else None, u)
+        if t.rights[j] <= u:
+            return _downcrossing(self, t.xs[j], t.xs[j + 1] if j + 1 < len(t.xs) else None, u)
+        return t.xs[j]
+
+
+class _LimitTable(NamedTuple):
+    """One-sided limits of a distribution at its jump points, for preimage search.
+
+    ``rising[j]`` is the running maximum over k <= j of max(lefts[k],
+    rights[k]) and ``falling[j]`` the running minimum over k >= j of
+    min(lefts[k], rights[k]).  The first j with rising[j] >= u is the first
+    jump where either limit reaches u, and the last j with falling[j] <= u
+    the last jump where either limit is at most u, even where rounding makes
+    the limits themselves non-monotone.  The limit columns are arrays of
+    doubles, which hold no float objects and pass through no tuple free list,
+    so tables add little to peak memory.
+    """
+
+    xs: tuple[float, ...]
+    lefts: array
+    rights: array
+    rising: array
+    falling: array
+
+    @classmethod
+    def of(cls, fn: DistributionFn) -> "_LimitTable":
+        xs = fn.jump_points()
+        lefts = array("d", [fn.left_limit(x) for x in xs])
+        rights = array("d", [fn.right_limit(x) for x in xs])
+        rising = array("d", accumulate(map(max, lefts, rights), max))
+        falling = array("d", accumulate(map(min, lefts[::-1], rights[::-1]), min))[::-1]
+        return cls(xs, lefts, rights, rising, falling)
 
 
 def _require_interior(u: float) -> None:
@@ -354,6 +403,7 @@ class PiecewiseLinearWithJumps(DistributionFn):
 
     breakpoints: tuple[tuple[float, float, float, float], ...]
     _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __init__(self, breakpoints) -> None:
         bps = tuple((float(x), float(l), float(p), float(r)) for x, l, p, r in breakpoints)
@@ -376,6 +426,7 @@ class PiecewiseLinearWithJumps(DistributionFn):
             raise ValueError("last right value must be 1 (F(+inf) = 1)")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def _segment_value(self, i: int, x: float) -> float:
         # between breakpoints i and i+1 (both exist)
@@ -442,11 +493,13 @@ class Product(DistributionFn):
     first: DistributionFn
     second: DistributionFn
     _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_jumps", _merge_jumps(self.first.jump_points(), self.second.jump_points())
         )
+        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def value(self, x: float) -> float:
         return self.first.value(x) * self.second.value(x)
@@ -468,11 +521,13 @@ class SurvivalComplementProduct(DistributionFn):
     first: DistributionFn
     second: DistributionFn
     _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_jumps", _merge_jumps(self.first.jump_points(), self.second.jump_points())
         )
+        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     @staticmethod
     def _combine(a: float, b: float) -> float:
@@ -502,6 +557,7 @@ class Convex(DistributionFn):
     first: DistributionFn
     second: DistributionFn
     _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight <= 1.0:
@@ -509,6 +565,7 @@ class Convex(DistributionFn):
         object.__setattr__(
             self, "_jumps", _merge_jumps(self.first.jump_points(), self.second.jump_points())
         )
+        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def _mix(self, a: float, b: float) -> float:
         return self.weight * a + (1.0 - self.weight) * b
@@ -539,10 +596,12 @@ class Clamp(DistributionFn):
     lower: DistributionFn
     upper: DistributionFn
     _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         jumps = _merge_jumps(self.base.jump_points(), self.lower.jump_points())
         object.__setattr__(self, "_jumps", _merge_jumps(jumps, self.upper.jump_points()))
+        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     @staticmethod
     def _clip(b: float, lo: float, hi: float) -> float:
@@ -575,6 +634,7 @@ class Switch(DistributionFn):
     before: DistributionFn
     after: DistributionFn
     _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo = self.before.left_limit(self.point)
@@ -587,6 +647,7 @@ class Switch(DistributionFn):
         jumps.update(p for p in self.after.jump_points() if p >= self.point)
         jumps.add(self.point)
         object.__setattr__(self, "_jumps", tuple(sorted(jumps)))
+        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def value(self, x: float) -> float:
         return self.before.value(x) if x < self.point else self.after.value(x)

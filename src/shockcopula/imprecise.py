@@ -40,6 +40,8 @@ from .copulas import (
 from .distfn import (
     Convex,
     DistributionFn,
+    PiecewiseLinearWithJumps,
+    Uniform,
     from_spec as dist_from_spec,
     lifetime_max,
     lifetime_min,
@@ -74,16 +76,22 @@ _SLAB_POINTS = 8192
 
 
 def _probe_points(*dists: DistributionFn) -> list[float]:
-    """Sample arguments covering the jumps and quantile range of the inputs."""
+    """Arguments covering the breakpoints and quantile range of the inputs.
+
+    Every jump point, piecewise-linear breakpoint and uniform endpoint is
+    included, with the midpoints between consecutive points.  Step,
+    uniform and piecewise-linear functions are affine between these points,
+    so comparing values and one-sided limits there decides their order
+    exactly; for other kinds the points are a sample.
+    """
     pts: set[float] = set()
     for d in dists:
         pts.update(d.jump_points())
-        for k in range(1, 20):
-            q = k / 20
-            try:
-                pts.add(d.smallest_preimage(q))
-            except Exception:
-                pass
+        if isinstance(d, PiecewiseLinearWithJumps):
+            pts.update(bp[0] for bp in d.breakpoints)
+        elif isinstance(d, Uniform):
+            pts.update((d.a, d.b))
+        pts.update(d.smallest_preimage(k / 20) for k in range(1, 20))
     pts.add(0.0)
     out = sorted(pts)
     enriched = list(out)
@@ -104,11 +112,13 @@ class PBox:
 
     def __post_init__(self) -> None:
         for x in _probe_points(self.lower, self.upper):
-            lo, hi = self.lower.value(x), self.upper.value(x)
-            if lo > hi + 1e-12:
-                raise ValueError(
-                    f"p-box order violated at x={x!r}: lower={lo!r} > upper={hi!r}"
-                )
+            for side in ("value", "left_limit", "right_limit"):
+                lo = getattr(self.lower, side)(x)
+                hi = getattr(self.upper, side)(x)
+                if lo > hi + 1e-12:
+                    raise ValueError(
+                        f"p-box order violated at x={x!r} ({side}): lower={lo!r} > upper={hi!r}"
+                    )
 
     @classmethod
     def precise(cls, dist: DistributionFn) -> "PBox":

@@ -561,11 +561,7 @@ def random_member(rng: np.random.Generator, box: PBox) -> DistributionFn:
     if box.is_degenerate:
         return box.lower
     t1, t2 = sorted((float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))), reverse=True)
-    q = float(rng.uniform(0.2, 0.8))
-    try:
-        split_at = box.lower.smallest_preimage(q)
-    except Exception:
-        split_at = 0.0
+    split_at = box.lower.smallest_preimage(float(rng.uniform(0.2, 0.8)))
     spliced = Switch(split_at, box.member(t1), box.member(t2))
     return Clamp(spliced, box.lower, box.upper)
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shockcopula.distfn import (
@@ -23,6 +23,7 @@ from shockcopula.distfn import (
     lifetime_min,
     to_spec,
 )
+from preimage_scan import scan_largest_preimage, scan_smallest_preimage
 
 LATTICE = [k * 0.5 for k in range(-2, 25)]
 
@@ -295,3 +296,58 @@ def test_composite_lifetimes_match_enumeration(pa, pb):
         for x, _ in oracle.points:
             assert abs(composite.value(x) - oracle.value(x)) < 1e-12
             assert abs(composite.left_limit(x) - oracle.left_limit(x)) < 1e-12
+
+
+# -- table search against the linear scan ------------------------------------
+
+_levels = st.one_of(st.sampled_from([k / 8 for k in range(9)]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _pwl(draw):
+    xs = sorted(draw(st.sets(st.sampled_from(LATTICE), min_size=1, max_size=4)))
+    inner = sorted(draw(st.lists(_levels, min_size=3 * len(xs) - 2, max_size=3 * len(xs) - 2)))
+    vals = [0.0, *inner, 1.0]
+    return PiecewiseLinearWithJumps(
+        [(x, *vals[3 * i:3 * i + 3]) for i, x in enumerate(xs)]
+    )
+
+
+_leaves = st.one_of(
+    mass_lists.map(_normalized),
+    st.sampled_from(LATTICE).map(DiracStep),
+    _pwl(),
+    st.sampled_from([0.5, 1.0, 2.0]).map(Exponential),
+)
+
+
+def _extend(children):
+    # Switch(point, a * b, b) never drops at the splice, since a * b <= b
+    return st.one_of(
+        st.builds(Product, children, children),
+        st.builds(SurvivalComplementProduct, children, children),
+        st.builds(Convex, _levels, children, children),
+        st.builds(Clamp, children, children, children),
+        st.builds(lambda x, a, b: Switch(x, Product(a, b), b),
+                  st.sampled_from(LATTICE), children, children),
+    )
+
+
+composites = st.recursive(_leaves, _extend, max_leaves=5).filter(
+    lambda f: not isinstance(f, (Discrete, DiracStep, Exponential))
+)
+
+
+@given(composites, st.lists(st.floats(1e-9, 1.0 - 1e-9), max_size=4))
+# the splice point 1.0 is listed as a jump point although F is continuous there
+@example(Switch(1.0, Exponential(1.0), Exponential(1.0)), [0.25, 0.9])
+@settings(max_examples=150, deadline=None)
+def test_table_preimages_equal_the_linear_scan_bit_for_bit(f, extra):
+    # a level equal to a limit at a jump is a tie, where >= and <= decide the answer
+    levels = {lim(x) for x in f.jump_points() for lim in (f.left_limit, f.right_limit)}
+    levels.update(extra)
+    for u in sorted(v for v in levels if 0.0 < v < 1.0):
+        # a pwl function runs its own smallest-side search, not the table's
+        if not isinstance(f, PiecewiseLinearWithJumps):
+            assert f.smallest_preimage(u).hex() == scan_smallest_preimage(f, u).hex(), u
+        assert f.largest_preimage(u).hex() == scan_largest_preimage(f, u).hex(), u

@@ -8,7 +8,7 @@ import pytest
 
 from shockcopula import imprecise
 from shockcopula.copulas import joint_marshall_H, joint_maxmin_H, joint_rmm_product, rmm_n
-from shockcopula.distfn import DiracStep, Discrete, Exponential, Uniform
+from shockcopula.distfn import DiracStep, Discrete, Exponential, PiecewiseLinearWithJumps, Uniform
 from shockcopula.imprecise import (
     BoundFamily,
     PBox,
@@ -53,6 +53,30 @@ def test_pbox_rejects_misordered_bounds():
         PBox(Exponential(2.0), Exponential(1.0))
     with pytest.raises(ValueError):
         PBox(DHIGH, DLOW)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        # lower crosses above upper on (0.5105, 0.52), which only the
+        # breakpoint 0.515 of the pwl bound shows: lower 0.519, upper 0.515
+        (
+            PiecewiseLinearWithJumps([(0, 0, 0, 0), (0.5105, 0.5105, 0.5105, 0.5105),
+                                      (0.515, 0.519, 0.519, 0.519), (0.52, 0.52, 0.52, 0.52),
+                                      (1, 1, 1, 1)]),
+            Uniform(0.0, 1.0),
+        ),
+        # ordered in value at every breakpoint, but just left of x = 1 the
+        # upper bound (left limit 0.49) is below the lower one (0.5)
+        (
+            PiecewiseLinearWithJumps([(0, 0, 0, 0), (1, 0.5, 0.5, 0.5), (2, 1, 1, 1)]),
+            PiecewiseLinearWithJumps([(0, 0, 0, 0.3), (1, 0.49, 0.6, 0.6), (2, 1, 1, 1)]),
+        ),
+    ],
+)
+def test_pbox_rejects_bounds_that_cross_between_sampled_points(lower, upper):
+    with pytest.raises(ValueError):
+        PBox(lower, upper)
 
 
 def test_pbox_members_interpolate_between_the_bounds():
