@@ -70,6 +70,7 @@ from .imprecise import (
     rmm_envelope,
     rmm_envelope_full_scan,
     rmm_envelope_grid,
+    rmm_envelope_values,
 )
 from .verify import (
     DiscreteModelOracle,
@@ -96,7 +97,7 @@ __all__ = [
     "BoundFamily", "PBox", "ShockModel", "build_bounds", "marshall_H_bounds",
     "marshall_bound_copulas", "maxmin_H_bounds", "maxmin_bivariate_mixed_bounds",
     "maxmin_bound_copulas", "rmm_H_bounds", "rmm_bivariate_copula_bounds",
-    "rmm_envelope", "rmm_envelope_full_scan", "rmm_envelope_grid",
+    "rmm_envelope", "rmm_envelope_full_scan", "rmm_envelope_grid", "rmm_envelope_values",
     "DiscreteModelOracle", "check_copula", "check_quasicopula", "monte_carlo_joint",
     "rectangle_volume", "run_suite",
     "__version__",

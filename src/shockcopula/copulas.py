@@ -39,7 +39,6 @@ __all__ = [
     "marshall_n",
     "maxmin_n",
     "rmm_n",
-    "rmm_from_values",
     "rmm_values",
     "joint_marshall_H",
     "joint_maxmin_H",
@@ -169,34 +168,17 @@ def maxmin_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
     return math.prod(phi_vals) * total
 
 
-def rmm_from_values(u: Sequence[float], fvals: Sequence[float], p: int) -> float:
-    """Reflected-maxmin copula from precomputed generator values.
-
-    max{0, min over pairs (i < p <= j) of
-        (u_i*u_j - f_i(u_i)*f_j(u_j)) * prod_{l != i,j} (u_l + f_l(u_l)) }
-    """
-    n = len(u)
-    if len(fvals) != n:
-        raise ValueError(f"expected {n} generator values, got {len(fvals)}")
-    if not 1 <= p < n:
-        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
-    shifted = [u[l] + fvals[l] for l in range(n)]
-    best = math.inf
-    for i in range(p):
-        for j in range(p, n):
-            rest = 1.0
-            for l in range(n):
-                if l != i and l != j:
-                    rest *= shifted[l]
-            best = min(best, (u[i] * u[j] - fvals[i] * fvals[j]) * rest)
-    return max(0.0, best)
-
-
 def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """:func:`rmm_from_values` over per-coordinate arrays that broadcast together.
+    """Reflected-maxmin copula over per-coordinate arrays that broadcast together.
+
+    ``us`` and ``fs`` hold the arguments and the precomputed generator
+    values ``f_l(u_l)``, one array (or float) per coordinate:
+
+        max{0, min over pairs (i < p <= j) of
+            (u_i*u_j - f_i*f_j) * prod_{l != i,j} (u_l + f_l) }
 
     The products run over ascending ``l`` with elementwise operations only,
-    so every entry is bit-identical to the scalar formula at that point.
+    so every entry is the same float whatever the shape of the call.
     """
     n = len(us)
     if len(fs) != n:
@@ -222,7 +204,7 @@ def rmm_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
     """Reflected-maxmin copula; coordinates 0..p-1 max-type, p..n-1 min-type."""
     args = _check_args(u, len(gens))
     fvals = [float(gen(ui)) for gen, ui in zip(gens, args)]
-    return rmm_from_values(args, fvals, p)
+    return float(rmm_values(args, fvals, p))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ __all__ = [
     "Convex",
     "Clamp",
     "Switch",
-    "SurvivalView",
     "lifetime_max",
     "lifetime_min",
     "from_spec",
@@ -664,32 +663,6 @@ class Switch(DistributionFn):
 
 def _merge_jumps(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(sorted(set(a) | set(b)))
-
-
-class SurvivalView:
-    """Read-only survival-function view of a distribution (or of another view).
-
-    ``SurvivalView(F).value(x)`` is 1 - F(x); limits swap roles accordingly
-    through the complement.  Viewing a view unwraps it, so applying the view
-    twice returns the underlying object bit for bit (1 - (1 - v) would not).
-    """
-
-    def __new__(cls, base):
-        if isinstance(base, SurvivalView):
-            return base.base
-        return super().__new__(cls)
-
-    def __init__(self, base) -> None:
-        self.base = base
-
-    def value(self, x: float) -> float:
-        return 1.0 - self.base.value(x)
-
-    def left_limit(self, x: float) -> float:
-        return 1.0 - self.base.left_limit(x)
-
-    def right_limit(self, x: float) -> float:
-        return 1.0 - self.base.right_limit(x)
 
 
 def lifetime_max(component: DistributionFn, shock: DistributionFn) -> Product:

@@ -16,8 +16,10 @@ path covers both).  From a model, :func:`build_bounds` derives
 Bound joint surfaces compose bound copulas with bound marginals; the rmm
 envelope is the min and max over all vertex tuples of lower/upper
 generator choices, found from a reduced inf scan and a star-form sup
-search, point by point or over a whole grid from per-axis generator
-tables.
+search.  One function, :func:`rmm_envelope_values`, computes it over
+per-coordinate arrays from generator tables; single points
+(:func:`rmm_envelope`), point stacks and grids (:func:`rmm_envelope_grid`)
+all go through it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .copulas import (
     GeneratorVector,
     marshall_n,
     maxmin_n,
-    rmm_from_values,
     rmm_n,
     rmm_values,
 )
@@ -64,14 +65,13 @@ __all__ = [
     "rmm_envelope",
     "rmm_envelope_full_scan",
     "rmm_envelope_grid",
+    "rmm_envelope_values",
     "maxmin_vertex_scan",
-    "factorized_pbox",
-    "pbox_members",
 ]
 
 _FAMILIES = ("marshall", "maxmin", "rmm")
 
-# grid points per slab of rmm_envelope_grid; keeps its temporaries small
+# points per slab of rmm_envelope_values; keeps its stacked temporaries small
 _SLAB_POINTS = 8192
 
 
@@ -111,6 +111,9 @@ class PBox:
     upper: DistributionFn
 
     def __post_init__(self) -> None:
+        # a degenerate box (one object on both sides) cannot cross
+        if self.lower is self.upper:
+            return
         for x in _probe_points(self.lower, self.upper):
             for side in ("value", "left_limit", "right_limit"):
                 lo = getattr(self.lower, side)(x)
@@ -151,18 +154,6 @@ class PBox:
 
     def to_spec(self) -> dict:
         return {"lower": dist_to_spec(self.lower), "upper": dist_to_spec(self.upper)}
-
-
-def pbox_members(box: PBox, thetas: Sequence[float]) -> list[DistributionFn]:
-    return [box.member(t) for t in thetas]
-
-
-def factorized_pbox(px: PBox, py: PBox, x: float, y: float) -> tuple[float, float]:
-    """Bivariate factorizing bounds (lower_X(x)*lower_Y(y), upper_X(x)*upper_Y(y))."""
-    return (
-        px.lower.value(x) * py.lower.value(y),
-        px.upper.value(x) * py.upper.value(y),
-    )
 
 
 @dataclass(frozen=True)
@@ -425,203 +416,164 @@ def rmm_H_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _rmm_vertex_values(
-    bf: BoundFamily, u: Sequence[float]
-) -> tuple[list[float], list[float], int]:
+def _vertex_tables(
+    bf: BoundFamily, us: Sequence[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Coordinate arrays of one ndim and their lower/upper generator values.
+
+    Each generator is evaluated once per entry of its coordinate's array.
+    """
     _require_family(bf, "rmm", "rmm envelope")
-    if len(u) != bf.n:
-        raise ValueError(f"expected {bf.n} coordinates, got {len(u)}")
-    flo = [float(g(ui)) for g, ui in zip(bf.lower_gen.generators, u)]
-    fhi = [float(g(ui)) for g, ui in zip(bf.upper_gen.generators, u)]
-    return flo, fhi, bf.split
+    if len(us) != bf.n:
+        raise ValueError(f"expected {bf.n} coordinate arrays, got {len(us)}")
+    us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+    ndim = max(u.ndim for u in us)
+    us = [u.reshape((1,) * (ndim - u.ndim) + u.shape) for u in us]
+
+    def table(gen: Generator, u: np.ndarray) -> np.ndarray:
+        return np.array([float(gen(t)) for t in u.ravel().tolist()]).reshape(u.shape)
+
+    lo = [table(g, u) for g, u in zip(bf.lower_gen.generators, us)]
+    hi = [table(g, u) for g, u in zip(bf.upper_gen.generators, us)]
+    return us, lo, hi
 
 
-def _rmm_sup_tuple(
-    u: Sequence[float], flo: list[float], fhi: list[float], p: int
-) -> list[float]:
-    """Generator values of a vertex tuple attaining the rmm maximum over all 2^n.
-
-    With ``r_l = f_l/u_l`` the rmm copula is ``prod_l u_l * A_T * A_S *
-    max(0, 1 - R_T*R_S)``, where ``R_T``/``R_S`` are the largest ratios of
-    the max-type/min-type block and ``A_T`` is the product of ``1 + r_i``
-    over the max-type block with one coordinate attaining ``R_T`` left out
-    (``A_S`` likewise).  Every ``lo_k/u_k`` and ``hi_k/u_k`` is a candidate
-    cap of its block.  A cap is feasible when no ``lo`` ratio of its block
-    exceeds it, and the tuple that maximises the block's ``A`` under it
-    takes ``hi`` wherever the ``hi`` ratio is at most the cap and ``lo``
-    elsewhere.  The first (T-cap, S-cap) pair that maximises
-    ``A_T*A_S*(1 - c_T*c_S)`` wins, candidates taken in ascending
-    coordinate order with ``lo`` before ``hi`` and T-caps outermost.  On a
-    face ``u_l = 0`` every vertex gives 0 and the all-upper tuple is used.
-    """
-    n = len(u)
-    if 0.0 in u:
-        return fhi
-    rlo = [f / x for f, x in zip(flo, u)]
-    rhi = [f / x for f, x in zip(fhi, u)]
-    blocks = []
-    for block in (range(p), range(p, n)):
-        floor = max(rlo[block.start:block.stop])
-        cands = []
-        for k in block:
-            for cap in (rlo[k], rhi[k]):
-                if cap >= floor:
-                    a = 1.0
-                    for m in block:
-                        if m != k:
-                            a *= 1.0 + (rhi[m] if rhi[m] <= cap else rlo[m])
-                    cands.append((cap, a))
-        blocks.append(cands)
-    best = -math.inf
-    win = None
-    for cap_t, a_t in blocks[0]:
-        for cap_s, a_s in blocks[1]:
-            obj = a_t * a_s * (1.0 - cap_t * cap_s)
-            if obj > best:
-                best, win = obj, (cap_t, cap_s)
-    if win is None:
-        return fhi
-    return [fhi[k] if rhi[k] <= win[k >= p] else flo[k] for k in range(n)]
-
-
-def rmm_envelope(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
-    """(inf, sup) of the rmm copula over all 2^n vertex generator tuples.
-
-    inf scans the reduced set of tuples that are upper in exactly one
-    (max-type, min-type) pair and lower elsewhere, which reaches the
-    minimum.  sup evaluates the maximising vertex tuple, found in O(n^2)
-    from the star form by :func:`_rmm_sup_tuple`.  Both match
-    :func:`rmm_envelope_full_scan`, which scans every tuple.  Members of the
-    box with interior generators are not vertex tuples, and for n >= 3
-    their copula can exceed the vertex maximum, so sup is not a guaranteed
-    upper bound over the whole box.
-    """
-    flo, fhi, p = _rmm_vertex_values(bf, u)
-    n = bf.n
-    inf_val = math.inf
-    for i in range(p):
-        for j in range(p, n):
-            vals = list(flo)
-            vals[i] = fhi[i]
-            vals[j] = fhi[j]
-            inf_val = min(inf_val, rmm_from_values(u, vals, p))
-    return inf_val, rmm_from_values(u, _rmm_sup_tuple(u, flo, fhi, p), p)
-
-
-def _sup_candidates(
+def _cap_candidates(
     rlo: list[np.ndarray], rhi: list[np.ndarray], block: range
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Caps and ``A`` factors of one block's candidates, stacked in scan order.
+    """Caps and ``A`` factors of one block's sup candidates on a leading axis.
 
-    The arrays broadcast over the block's axes; an infeasible candidate has
-    ``A`` = nan, so its objective never wins.
+    Candidates ``2q`` and ``2q + 1`` cap the block at the ``lo`` and ``hi``
+    ratio of its coordinate ``block[q]``.  Under a cap every other
+    coordinate of the block takes ``hi`` where its ``hi`` ratio is at most
+    the cap and ``lo`` elsewhere, and ``A`` multiplies their ``1 + r`` in
+    ascending coordinate order (the cap's own coordinate contributes an
+    exact 1.0).  A cap below some ``lo`` ratio of the block is infeasible
+    and gets ``A`` = nan.
     """
-    shape = np.broadcast_shapes(*(rlo[k].shape for k in block))
+    caps = np.stack(np.broadcast_arrays(*(r[k] for k in block for r in (rlo, rhi))))
+    own = np.repeat(np.arange(len(block)), 2).reshape((-1,) + (1,) * (caps.ndim - 1))
     floor = rlo[block[0]]
     for k in block[1:]:
         floor = np.maximum(floor, rlo[k])
-    caps, factors = [], []
-    for k in block:
-        for cap in (rlo[k], rhi[k]):
-            a = 1.0
-            for m in block:
-                if m != k:
-                    a = a * (1.0 + np.where(rhi[m] <= cap, rhi[m], rlo[m]))
-            caps.append(np.broadcast_to(cap, shape))
-            factors.append(np.broadcast_to(np.where(cap >= floor, a, np.nan), shape))
-    return np.stack(caps), np.stack(factors)
+    a = None
+    for q, m in enumerate(block):
+        f = np.where(own == q, 1.0, 1.0 + np.where(rhi[m] <= caps, rhi[m], rlo[m]))
+        a = f if a is None else a * f
+    return caps, np.where(caps >= floor, a, np.nan)
+
+
+def _envelope_slab(
+    us: list[np.ndarray], lo: list[np.ndarray], hi: list[np.ndarray], p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    n = len(us)
+    shape = np.broadcast_shapes(*(u.shape for u in us))
+    lead = (-1,) + (1,) * len(shape)
+
+    # inf: the tuples upper in exactly one (max-type, min-type) pair
+    pairs = [(i, j) for i in range(p) for j in range(p, n)]
+    fs = [np.where(np.array([k in pair for pair in pairs]).reshape(lead), hi[k], lo[k])
+          for k in range(n)]
+    inf = rmm_values(us, fs, p).min(axis=0)
+
+    # sup: the first (T-cap, S-cap) pair, T-caps outermost, that maximises
+    # A_T*A_S*(1 - c_T*c_S); a nan objective counts as -inf, and a point
+    # without a finite one takes the all-upper tuple.  On a face u_l = 0,
+    # where every vertex gives 0, the ratio 0/0 of coordinate l is nan and
+    # so is every objective.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rlo = [f / u for f, u in zip(lo, us)]
+        rhi = [f / u for f, u in zip(hi, us)]
+        caps_t, a_t = _cap_candidates(rlo, rhi, range(p))
+        caps_s, a_s = _cap_candidates(rlo, rhi, range(p, n))
+        # (1 - c_T*c_S) * (A_T*A_S), in place; the product commutes exactly
+        obj = caps_t[:, None] * caps_s[None, :]
+        np.subtract(1.0, obj, out=obj)
+        obj *= a_t[:, None] * a_s[None, :]
+    obj = obj.reshape((-1,) + shape)
+    obj[np.isnan(obj)] = -np.inf
+    win_t, win_s = np.divmod(obj.argmax(axis=0)[None], len(caps_s))
+    cap_t = np.take_along_axis(np.broadcast_to(caps_t, (len(caps_t),) + shape), win_t, 0)[0]
+    cap_s = np.take_along_axis(np.broadcast_to(caps_s, (len(caps_s),) + shape), win_s, 0)[0]
+    upper = obj.max(axis=0) == -np.inf
+    fs = [np.where(upper | (rhi[k] <= (cap_t if k < p else cap_s)), hi[k], lo[k])
+          for k in range(n)]
+    return inf, rmm_values(us, fs, p)
+
+
+def rmm_envelope_values(
+    bf: BoundFamily, us: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(inf, sup) of the rmm copula over all 2^n vertex generator tuples.
+
+    ``us`` holds one array per coordinate; the arrays broadcast together,
+    as in :func:`rmm_values`, and the results have the broadcast shape (at
+    least one-dimensional).  Axes of a grid arrive as column-shaped arrays,
+    a stack of m points as m-long arrays.  Each lower and upper generator is
+    evaluated once per entry of its coordinate's array.
+
+    inf is the minimum over the tuples that are upper in exactly one
+    (max-type, min-type) pair and lower elsewhere, which reaches the
+    minimum over all vertices.  sup comes from the star form: with
+    ``r_l = f_l/u_l`` the copula is ``prod_l u_l * A_T * A_S * max(0, 1 -
+    R_T*R_S)``, where ``R_T``/``R_S`` are the largest ratios of the
+    max-type/min-type block and ``A_T`` is the product of ``1 + r_i`` over
+    the max-type block with one coordinate attaining ``R_T`` left out
+    (``A_S`` likewise).  Every ``lo`` and ``hi`` ratio is tried as the cap
+    of its block (:func:`_cap_candidates`), and the winning tuple is
+    evaluated with :func:`rmm_values`.  On a face ``u_l = 0`` every vertex
+    gives 0 and the all-upper tuple is used.  Both halves equal
+    :func:`rmm_envelope_full_scan`.  Members of the box with interior
+    generators are not vertex tuples, and for n >= 3 their copula can
+    exceed the vertex maximum, so sup is not a guaranteed upper bound over
+    the whole box.
+
+    The points are processed in slabs along the first axis to keep the
+    stacked temporaries small.
+    """
+    us, lo, hi = _vertex_tables(bf, us)
+    p = bf.split
+    shape = np.broadcast_shapes(*(u.shape for u in us))
+    inf_out = np.empty(shape)
+    sup_out = np.empty(shape)
+    step = max(1, _SLAB_POINTS // max(1, math.prod(shape[1:])))
+    for s in range(0, shape[0], step):
+        part = [[a[s:s + step] if a.shape[0] != 1 else a for a in t] for t in (us, lo, hi)]
+        inf_out[s:s + step], sup_out[s:s + step] = _envelope_slab(*part, p)
+    return inf_out, sup_out
+
+
+def rmm_envelope(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
+    """:func:`rmm_envelope_values` at one point, as two floats."""
+    inf, sup = rmm_envelope_values(bf, [[x] for x in u])
+    return float(inf[0]), float(sup[0])
 
 
 def rmm_envelope_grid(
     bf: BoundFamily, axes: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rmm_envelope` at every point of an axis grid, as (inf, sup) arrays.
+    """:func:`rmm_envelope_values` at every point of an axis grid.
 
-    Each coordinate's lower and upper generator, and their ratios to the
-    coordinate, are evaluated once per axis value.  A reduced-scan inf
-    tuple picks the same table for a coordinate at every grid point, so
-    each is one :func:`rmm_values` call.  The sup scans the candidate caps
-    of :func:`_rmm_sup_tuple` in the same order with the same operations,
-    records the winning pair per point, gathers the tuple once and makes
-    one :func:`rmm_values` call.  The grid is processed in slabs along the
-    first axis to keep temporaries small.  Every entry is bit-identical to
-    the scalar function at that point.
+    Returns (inf, sup) arrays of shape ``(len(axes[0]), ..., len(axes[-1]))``.
     """
-    _require_family(bf, "rmm", "rmm envelope")
-    n, p = bf.n, bf.split
-    if len(axes) != n:
-        raise ValueError(f"expected {n} axes, got {len(axes)}")
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    shape = [a.size for a in axes]
-
-    def column(values: np.ndarray, k: int) -> np.ndarray:
-        dims = [1] * n
-        dims[k] = values.size
-        return values.reshape(dims)
-
-    def table(gen: Generator, k: int) -> np.ndarray:
-        return column(np.array([float(gen(float(t))) for t in axes[k]]), k)
-
-    us = [column(a, k) for k, a in enumerate(axes)]
-    lo = [table(g, k) for k, g in enumerate(bf.lower_gen.generators)]
-    hi = [table(g, k) for k, g in enumerate(bf.upper_gen.generators)]
-    face = np.zeros(shape, dtype=bool)
-    for x in us:
-        face |= x == 0.0
-    # ratios are nan or inf on the faces, whose points take the all-upper tuple
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rlo = [f / x for f, x in zip(lo, us)]
-        rhi = [f / x for f, x in zip(hi, us)]
-        # the max-type block holds axis 0 and is sliced with the slabs
-        caps_t, factors_t = _sup_candidates(rlo, rhi, range(p))
-        caps_s, factors_s = _sup_candidates(rlo, rhi, range(p, n))
-
-    inf_out = np.empty(shape)
-    sup_out = np.empty(shape)
-    step = max(1, _SLAB_POINTS // max(1, math.prod(shape[1:])))
-    for s in range(0, shape[0], step):
-        e = min(s + step, shape[0])
-        us_s, lo_s, hi_s, rhi_s = ([t[0][s:e]] + t[1:] for t in (us, lo, hi, rhi))
-        inf_val = None
-        for i in range(p):
-            for j in range(p, n):
-                pair = (i, j)
-                c = rmm_values(us_s, [hi_s[k] if k in pair else lo_s[k] for k in range(n)], p)
-                inf_val = c if inf_val is None else np.minimum(inf_val, c)
-        inf_out[s:e] = inf_val
-
-        # T-caps outermost and a strict ">", as in the scalar scan; a nan
-        # objective (an infeasible candidate) never wins
-        best = np.full(inf_val.shape, -np.inf)
-        win_t = np.zeros(inf_val.shape)
-        win_s = np.zeros(inf_val.shape)
-        with np.errstate(invalid="ignore", over="ignore"):
-            for cap_t, a_t in zip(caps_t[:, s:e], factors_t[:, s:e]):
-                for cap_s, a_s in zip(caps_s, factors_s):
-                    obj = a_t * a_s * (1.0 - cap_t * cap_s)
-                    better = obj > best
-                    best = np.where(better, obj, best)
-                    win_t = np.where(better, cap_t, win_t)
-                    win_s = np.where(better, cap_s, win_s)
-        upper = face[s:e] | (best == -np.inf)
-        fs = [np.where(upper | (rhi_s[k] <= (win_t if k < p else win_s)), hi_s[k], lo_s[k])
-              for k in range(n)]
-        sup_out[s:e] = rmm_values(us_s, fs, p)
-    return inf_out, sup_out
+    n = len(axes)
+    return rmm_envelope_values(
+        bf, [np.asarray(a, dtype=float).reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
+             for k, a in enumerate(axes)]
+    )
 
 
 def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
-    """(min, max) of the rmm copula over all 2^n vertex generator tuples."""
-    flo, fhi, p = _rmm_vertex_values(bf, u)
-    n = bf.n
-    inf_val = math.inf
-    sup_val = -math.inf
-    for mask in range(1 << n):
-        vals = [fhi[k] if mask >> k & 1 else flo[k] for k in range(n)]
-        c = rmm_from_values(u, vals, p)
-        inf_val = min(inf_val, c)
-        sup_val = max(sup_val, c)
-    return inf_val, sup_val
+    """(min, max) of the rmm copula over all 2^n vertex generator tuples.
+
+    Every tuple is evaluated, in one :func:`rmm_values` call; this is the
+    reference the envelope is checked against.
+    """
+    us, lo, hi = _vertex_tables(bf, [[x] for x in u])
+    masks = np.arange(1 << bf.n).reshape(-1, 1)
+    fs = [np.where(masks >> k & 1, h, l) for k, (l, h) in enumerate(zip(lo, hi))]
+    values = rmm_values(us, fs, bf.split)
+    return float(values.min()), float(values.max())
 
 
 def maxmin_vertex_scan(

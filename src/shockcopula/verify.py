@@ -57,23 +57,20 @@ from .imprecise import (
     maxmin_vertex_scan,
     rmm_bivariate_copula_bounds,
     rmm_H_bounds,
-    rmm_envelope,
     rmm_envelope_full_scan,
     rmm_envelope_grid,
+    rmm_envelope_values,
 )
 
 __all__ = [
     "OracleError",
     "UnsupportedSamplingError",
-    "RectangleReport",
     "CheckReport",
     "rectangle_volume",
-    "measure_rectangle",
     "copula_grid",
     "check_copula",
     "check_quasicopula",
     "DiscreteModelOracle",
-    "exact_joint",
     "monte_carlo_joint",
     "philox_stream",
     "random_discrete",
@@ -131,25 +128,6 @@ def rectangle_volume(C: Callable[[Sequence[float]], float], box: Sequence[tuple[
         val = C(corner)
         total += val if lows % 2 == 0 else -val
     return total
-
-
-@dataclass(frozen=True)
-class RectangleReport:
-    box: tuple[tuple[float, float], ...]
-    volume: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"box": [list(side) for side in self.box], "volume": self.volume, "passed": self.passed}
-
-
-def measure_rectangle(
-    C: Callable[[Sequence[float]], float],
-    box: Sequence[tuple[float, float]],
-    tol: float = 1e-12,
-) -> RectangleReport:
-    vol = rectangle_volume(C, box)
-    return RectangleReport(tuple((float(a), float(b)) for a, b in box), vol, vol >= -tol)
 
 
 @dataclass
@@ -410,10 +388,6 @@ class DiscreteModelOracle:
             if ok:
                 total += prob
         return total
-
-
-def exact_joint(oracle: DiscreteModelOracle, x: Sequence[float], reflected_tail: bool = False) -> float:
-    return oracle.exact_joint(x, reflected_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +812,9 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
             reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
 
     member_bfs = [build_bounds(m) for m in members]
-    for u in _unit_points(rng, points, n):
-        inf_red, sup_red = rmm_envelope(bf, u)
+    unit = _unit_points(rng, points, n)
+    inf_env, sup_env = rmm_envelope_values(bf, np.array(unit, dtype=float).reshape(-1, n).T)
+    for u, inf_red, sup_red in zip(unit, inf_env.tolist(), sup_env.tolist()):
         inf_full, sup_full = rmm_envelope_full_scan(bf, u)
         if abs(inf_red - inf_full) > 1e-12:
             reports["envelope-inf-reduction"].record(label, u, inf_full, inf_red)
@@ -861,8 +836,9 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
 def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instance: int = 1000) -> dict:
     """Order and identity statements for bound families of random p-box models.
 
-    The rmm envelope checks assert that both halves of
-    :func:`rmm_envelope` equal the full vertex scan within 1e-12: the
+    The rmm envelope checks evaluate :func:`rmm_envelope_values` once per
+    instance over its stack of random unit points and assert, point by
+    point, that both halves equal the full vertex scan within 1e-12: the
     reduced inf scan, and the star-form sup (``rmm-envelope-sup-bounded``,
     whose ``max_sup_gap`` diagnostic records the largest absolute gap).
     """

@@ -19,8 +19,8 @@ from shockcopula.copulas import (
     maxmin2,
     maxmin_n,
     rmm2,
-    rmm_from_values,
     rmm_n,
+    rmm_values,
 )
 from shockcopula.distfn import DiracStep, Discrete, Exponential, lifetime_max, lifetime_min
 from shockcopula.genfn import (
@@ -243,14 +243,15 @@ def test_rmm_n_consumes_precomputed_generator_values():
     gens = (f, f, g)
     for point in itertools.product(INTERIOR, repeat=3):
         fvals = [gen(ui) for gen, ui in zip(gens, point)]
-        assert rmm_n(gens, point, 2) == rmm_from_values(point, fvals, 2)
+        assert rmm_n(gens, point, 2) == rmm_values(point, fvals, 2)
+        assert type(rmm_n(gens, point, 2)) is float
 
 
 def test_rmm_from_values_validates_shapes():
     with pytest.raises(ValueError):
-        rmm_from_values((0.5, 0.5), (0.0,), 1)
+        rmm_values((0.5, 0.5), (0.0,), 1)
     with pytest.raises(ValueError):
-        rmm_from_values((0.5, 0.5), (0.0, 0.0), 2)
+        rmm_values((0.5, 0.5), (0.0, 0.0), 2)
 
 
 # -- generator vectors -----------------------------------------------------------

@@ -15,7 +15,6 @@ from shockcopula.distfn import (
     PiecewiseLinearWithJumps,
     Product,
     SurvivalComplementProduct,
-    SurvivalView,
     Switch,
     Uniform,
     from_spec,
@@ -212,14 +211,6 @@ def test_switch_splices_and_validates():
     # a splice that drops (0.5 just before, 0.2 just after) is rejected
     with pytest.raises(ValueError):
         Switch(1.0, after, discrete((0.1, 0.2), (5.0, 0.8)))
-
-
-def test_survival_view_is_an_involution():
-    f = discrete((1.0, 0.3), (2.0, 0.7))
-    v = SurvivalView(f)
-    assert SurvivalView(v) is f
-    for x in LATTICE:
-        assert v.value(x) == 1.0 - f.value(x)
 
 
 # -- serialization -----------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import envelope_reference
 from shockcopula import imprecise
 from shockcopula.copulas import joint_marshall_H, joint_maxmin_H, joint_rmm_product, rmm_n
 from shockcopula.distfn import DiracStep, Discrete, Exponential, PiecewiseLinearWithJumps, Uniform
@@ -14,16 +18,15 @@ from shockcopula.imprecise import (
     PBox,
     ShockModel,
     build_bounds,
-    factorized_pbox,
     marshall_H_bounds,
     maxmin_bivariate_mixed_bounds,
     maxmin_H_bounds,
     maxmin_vertex_scan,
-    pbox_members,
     rmm_bivariate_copula_bounds,
     rmm_envelope,
     rmm_envelope_full_scan,
     rmm_envelope_grid,
+    rmm_envelope_values,
     rmm_H_bounds,
 )
 from shockcopula.verify import philox_stream, random_pbox_shock_model
@@ -90,22 +93,25 @@ def test_pbox_members_interpolate_between_the_bounds():
             assert lo - 1e-15 <= member.value(x) <= hi + 1e-15
     with pytest.raises(ValueError):
         box.member(-0.1)
-    assert len(pbox_members(box, (0.0, 0.5, 1.0))) == 3
+
+
+def test_degenerate_pbox_skips_the_order_check(monkeypatch):
+    def probe(*dists):
+        raise AssertionError("order check reached")
+
+    monkeypatch.setattr(imprecise, "_probe_points", probe)
+    dist = Exponential(1.0)
+    assert PBox.precise(dist).lower is dist
+    # distinct objects, equal or not, are still checked
+    for upper in (Exponential(1.0), Exponential(2.0)):
+        with pytest.raises(AssertionError, match="order check reached"):
+            PBox(dist, upper)
 
 
 def test_degenerate_pbox_member_is_the_single_bound():
     box = PBox.precise(Uniform(0.0, 2.0))
     assert box.is_degenerate
     assert box.member(0.37) is box.lower
-
-
-def test_factorized_pbox_bounds():
-    px = PBox(Exponential(1.0), Exponential(2.0))
-    py = PBox(DLOW, DHIGH)
-    lo, hi = factorized_pbox(px, py, 1.5, 2.0)
-    assert abs(lo - (1.0 - math.exp(-1.5)) * 0.5) < 1e-15
-    assert abs(hi - (1.0 - math.exp(-3.0)) * 0.75) < 1e-15
-    assert lo <= hi
 
 
 def test_pbox_spec_round_trip():
@@ -433,6 +439,47 @@ def test_envelope_grid_equals_the_scalar_envelope_bit_for_bit(monkeypatch, kind)
             monkeypatch.setattr(imprecise, "_SLAB_POINTS", 2 * sizes[n] ** (n - 1))
             assert_grid_matches_scalar(bf, axes)
             monkeypatch.undo()
+
+
+def drawn_rmm_model(rng, kind, n, p):
+    if kind == "continuous":
+        # one box for every coordinate half of the time, so ratios tie
+        shared = rng.random() < 0.5
+        boxes = [continuous_box(rng)] * n if shared else [continuous_box(rng) for _ in range(n)]
+        return ShockModel("rmm", tuple(boxes), Exponential(float(rng.uniform(0.5, 2.0))), p)
+    drawn = random_pbox_shock_model(rng, "rmm", n)
+    return ShockModel("rmm", drawn.endogenous, drawn.exogenous, p)
+
+
+def unit_stacks(n):
+    coordinate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    return st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["continuous", "discrete"]))
+@settings(max_examples=12, deadline=None)
+def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
+    rng = philox_stream(seed, 5)
+    for p in range(1, n):
+        bf = build_bounds(drawn_rmm_model(rng, kind, n, p))
+        points = data.draw(unit_stacks(n))
+        want = np.array([envelope_reference.envelope(bf, u) for u in points])
+        inf, sup = rmm_envelope_values(bf, np.array(points).T)
+        assert np.array_equal(bits(inf), bits(want[:, 0])) and np.array_equal(bits(sup), bits(want[:, 1]))
+        with mock.patch.object(imprecise, "_SLAB_POINTS", 2):
+            assert np.array_equal(bits(rmm_envelope_values(bf, np.array(points).T)), bits(want.T))
+        for u, w in zip(points, want):
+            assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
+            full = envelope_reference.full_scan(bf, u)
+            assert np.array_equal(bits(rmm_envelope_full_scan(bf, u)), bits(full)), (p, u)
+        # a grid through the points' coordinates
+        axes = [np.array(sorted({u[k] for u in points})[:3 if n <= 4 else 2]) for k in range(n)]
+        inf, sup = rmm_envelope_grid(bf, axes)
+        for idx in np.ndindex(*inf.shape):
+            w = envelope_reference.envelope(bf, [float(axes[k][i]) for k, i in enumerate(idx)])
+            assert np.array_equal(bits([inf[idx], sup[idx]]), bits(w)), (p, idx)
 
 
 def test_envelope_grid_checks_its_inputs():

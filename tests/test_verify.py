@@ -19,7 +19,6 @@ from shockcopula.verify import (
     check_copula,
     check_quasicopula,
     copula_grid,
-    measure_rectangle,
     monte_carlo_joint,
     philox_stream,
     random_discrete,
@@ -59,14 +58,6 @@ def test_rectangle_volume_closed_forms():
     assert abs(vol3 - 0.125) < 1e-15
     with pytest.raises(ValueError):
         rectangle_volume(PRODUCT, [(0.5, 0.2), (0.1, 0.7)])
-
-
-def test_measure_rectangle_flags_negative_volume():
-    sup = lambda u: max(shift_copula(0.125)(u), shift_copula(0.5)(u))
-    good = measure_rectangle(PRODUCT, [(0.2, 0.5), (0.1, 0.7)])
-    assert good.passed and good.to_dict()["volume"] == good.volume
-    bad = measure_rectangle(sup, [(0.5, 0.5625), (0.125, 0.1875)])
-    assert not bad.passed and bad.volume < -0.05
 
 
 def test_check_report_caps_stored_failures():
