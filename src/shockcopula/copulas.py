@@ -1,8 +1,12 @@
 """Copula families induced by common-shock models, and their joint laws.
 
-Three families are implemented, each in a bivariate closed form and an
-n-variate form (the two are independent evaluation routes; tests hold them
-against each other):
+Three families are implemented, each in a bivariate closed form and one
+n-variate array kernel (``marshall_values``, ``maxmin_values``,
+``rmm_values``); the two are independent evaluation routes that tests hold
+against each other.  The kernels take arguments and precomputed generator
+values, one array per coordinate; one-point calls (``*_n``,
+``GeneratorVector.__call__``), point stacks and grids
+(``GeneratorVector.values``) all go through them.
 
 * Marshall: all components die at the latest of their own shock and a
   common shock.  ``C(u) = prod_i phi_i(u_i) * min_i u_i/phi_i(u_i)``,
@@ -21,6 +25,7 @@ the copula compositions must reproduce.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,6 +44,8 @@ __all__ = [
     "marshall_n",
     "maxmin_n",
     "rmm_n",
+    "marshall_values",
+    "maxmin_values",
     "rmm_values",
     "joint_marshall_H",
     "joint_maxmin_H",
@@ -60,10 +67,12 @@ def _check_unit(value: float, name: str) -> float:
     return value
 
 
-def _check_args(u: Sequence[float], n: int) -> list[float]:
-    if len(u) != n:
-        raise ValueError(f"expected {n} arguments, got {len(u)}")
-    return [_check_unit(ui, f"u{k + 1}") for k, ui in enumerate(u)]
+def _check_args(gens: Sequence[Generator], u: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The checked arguments of a one-point call and the generator values there."""
+    if len(u) != len(gens):
+        raise ValueError(f"expected {len(gens)} arguments, got {len(u)}")
+    args = [_check_unit(ui, f"u{k + 1}") for k, ui in enumerate(u)]
+    return args, [float(gen(ui)) for gen, ui in zip(gens, args)]
 
 
 # ---------------------------------------------------------------------------
@@ -99,73 +108,66 @@ def rmm2(f: Generator, g: Generator, u: float, v: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def marshall_n(gens: Sequence[Generator], u: Sequence[float]) -> float:
-    """prod_j phi_j(u_j) * min_i u_i/phi_i(u_i), computed division-free."""
-    n = len(gens)
-    args = _check_args(u, n)
-    phis = [float(gen(ui)) for gen, ui in zip(gens, args)]
-    if any(p == 0.0 for p in phis):
-        return 0.0
-    best = math.inf
+def marshall_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray]) -> np.ndarray:
+    """Marshall copula ``min_i u_i * prod_{j != i} phi_j`` over per-coordinate arrays.
+
+    ``us`` and ``fs`` hold the arguments and the precomputed generator
+    values, one array (or float) per coordinate, as in :func:`rmm_values`.
+    This is ``prod_j phi_j * min_i u_i/phi_i`` without a division.  The
+    products run over ascending ``j`` with elementwise operations only, so
+    every entry is the same float whatever the shape of the call.
+    """
+    n = len(us)
+    best = None
     for i in range(n):
-        term = args[i]
+        term = us[i]
         for j in range(n):
             if j != i:
-                term *= phis[j]
-        best = min(best, term)
+                term = term * fs[j]
+        best = term if best is None else np.minimum(best, term)
     return best
 
 
-def maxmin_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
-    """Maxmin copula with max-type coordinates 0..p-1 and min-type p..n-1.
+def maxmin_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Maxmin copula over per-coordinate arrays, as in :func:`rmm_values`.
 
-    Expands over subsets K of the min-type block:
+    ``fs`` holds phi values on the max-type coordinates 0..p-1 and chi
+    values on the rest.  The copula expands over subsets K of the min-type
+    block S:
 
-        prod_{i<p} phi_i(u_i) * sum_K prod_{j in S\\K} chi_j(u_j)
+        prod_{i<p} phi_i * sum_K prod_{j in S\\K} chi_j
             * max{0, min_{T u K} dag - max_{S\\K} dag}
 
-    where dag is u_i/phi_i(u_i) on the max block and
-    (u_j - chi_j(u_j)) / (1 - chi_j(u_j)) on the min block (taken as 1 at
-    u_j = 1), and the max over an empty S\\K is 0.
+    where dag is u_i/phi_i on the max block (0 where phi_i = 0, which the
+    prefactor zeroes) and (u_j - chi_j) / (1 - chi_j) on the min block (1
+    at u_j = 1), and the max over an empty S\\K is 0.  The 2^(n-p) subsets
+    lie on a leading axis indexed by the bit mask of K, built by doubling,
+    so each chi product runs over ascending coordinates; the terms are
+    summed in mask order.  Every entry is the same float whatever the
+    shape of the call.
     """
-    n = len(gens)
-    args = _check_args(u, n)
+    n = len(us)
     if not 1 <= p < n:
         raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
-    if n > MAX_DIMENSION:
-        raise ValueError(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
-
-    phi_vals = [float(gens[i](args[i])) for i in range(p)]
-    if any(pv == 0.0 for pv in phi_vals):
-        return 0.0
-    dag_max = [args[i] / phi_vals[i] for i in range(p)]
-    chi_vals = [float(gens[j](args[j])) for j in range(p, n)]
-    dag_min = []
-    for j in range(p, n):
-        if args[j] >= 1.0:
-            dag_min.append(1.0)
-        else:
-            cv = chi_vals[j - p]
-            dag_min.append((args[j] - cv) / (1.0 - cv))
-
-    m = n - p
-    floor = min(dag_max)
-    total = 0.0
-    for mask in range(1 << m):
-        lo = floor
-        hi = 0.0
-        weight = 1.0
-        for b in range(m):
-            if mask >> b & 1:
-                if dag_min[b] < lo:
-                    lo = dag_min[b]
-            else:
-                weight *= chi_vals[b]
-                if dag_min[b] > hi:
-                    hi = dag_min[b]
-        if lo > hi:
-            total += weight * (lo - hi)
-    return math.prod(phi_vals) * total
+    floor = prefactor = None
+    for i in range(p):
+        positive = fs[i] > 0.0
+        dag = np.where(positive, us[i] / np.where(positive, fs[i], 1.0), 0.0)
+        floor = dag if floor is None else np.minimum(floor, dag)
+        prefactor = fs[i] if prefactor is None else prefactor * fs[i]
+    dags = [np.where(us[j] >= 1.0, 1.0, (us[j] - fs[j]) / np.where(fs[j] < 1.0, 1.0 - fs[j], 1.0))
+            for j in range(p, n)]
+    block = np.empty((3, 1 << (n - p)) + np.broadcast_shapes(floor.shape, *(d.shape for d in dags)))
+    lo, hi, weight = block
+    lo[0], hi[0], weight[0] = floor, 0.0, 1.0
+    for b, dag in enumerate(dags):
+        # the subsets with coordinate p + b in K go after those without it
+        k = 1 << b
+        np.minimum(lo[:k], dag, out=lo[k:2 * k])
+        block[1:, k:2 * k] = block[1:, :k]
+        np.maximum(hi[:k], dag, out=hi[:k])
+        weight[:k] *= fs[p + b]
+    return prefactor * np.add.accumulate(weight * np.maximum(lo - hi, 0.0), axis=0)[-1]
 
 
 def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
@@ -200,11 +202,75 @@ def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np
     return np.maximum(best, 0.0)
 
 
+def marshall_n(gens: Sequence[Generator], u: Sequence[float]) -> float:
+    """Marshall copula at one point: :func:`marshall_values` of the generators."""
+    return float(marshall_values(*_check_args(gens, u)))
+
+
+def maxmin_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
+    """Maxmin copula at one point: :func:`maxmin_values` of the generators."""
+    if len(gens) > MAX_DIMENSION:
+        raise ValueError(f"dimension {len(gens)} exceeds the cap {MAX_DIMENSION}")
+    return float(maxmin_values(*_check_args(gens, u), p))
+
+
 def rmm_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
     """Reflected-maxmin copula; coordinates 0..p-1 max-type, p..n-1 min-type."""
-    args = _check_args(u, len(gens))
-    fvals = [float(gen(ui)) for gen, ui in zip(gens, args)]
-    return float(rmm_values(args, fvals, p))
+    return float(rmm_values(*_check_args(gens, u), p))
+
+
+# ---------------------------------------------------------------------------
+# point stacks and grids
+# ---------------------------------------------------------------------------
+
+# points per slab of a stacked evaluation; keeps its temporaries small
+_SLAB_POINTS = 8192
+
+
+def _tables(us: Sequence[np.ndarray], *vectors: "GeneratorVector") -> list[list[np.ndarray]]:
+    """Coordinate arrays of one ndim, then each vector's generators at every entry.
+
+    An entry outside [0, 1], or nan, raises the ValueError of a one-point call.
+    """
+    if len(us) != vectors[0].n:
+        raise ValueError(f"expected {vectors[0].n} coordinate arrays, got {len(us)}")
+    us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+    ndim = max(u.ndim for u in us)
+    us = [u.reshape((1,) * (ndim - u.ndim) + u.shape) for u in us]
+    checked = [[_check_unit(t, f"u{k + 1}") for t in u.ravel().tolist()] for k, u in enumerate(us)]
+    return [us] + [[np.array([float(gen(t)) for t in ts]).reshape(u.shape)
+                    for gen, ts, u in zip(gv.generators, checked, us)] for gv in vectors]
+
+
+def _grid_arrays(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Axis k shaped to run along dimension k of the grid of all the axes."""
+    return [np.asarray(a, dtype=float).reshape((1,) * k + (-1,) + (1,) * (len(axes) - 1 - k))
+            for k, a in enumerate(axes)]
+
+
+def _by_slabs(kernel, groups: Sequence[Sequence[np.ndarray]], outs: Sequence[np.ndarray],
+              width: int = 1) -> None:
+    """Fill ``outs`` with ``kernel(*groups)`` for groups of per-coordinate arrays.
+
+    A slab is a run along one axis, later axes whole and earlier ones fixed,
+    of at most ``_SLAB_POINTS`` points and, where the kernel stacks ``width``
+    entries per point, at most ``8 * _SLAB_POINTS`` entries (one point at least).
+    """
+    shape = outs[0].shape
+    budget = max(1, min(_SLAB_POINTS, 8 * _SLAB_POINTS // width))
+    if math.prod(shape) <= budget:
+        for out, values in zip(outs, kernel(*groups)):
+            out[...] = values
+        return
+    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= budget)
+    step = budget // math.prod(shape[axis + 1:])
+    for head in itertools.product(*map(range, shape[:axis])):
+        for s in range(0, shape[axis], step):
+            cut = tuple(slice(h, h + 1) for h in head) + (slice(s, s + step),)
+            part = [[a[tuple(c if a.shape[d] != 1 else slice(None) for d, c in enumerate(cut))]
+                     for a in group] for group in groups]
+            for out, values in zip(outs, kernel(*part)):
+                out[cut] = values
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +329,25 @@ class GeneratorVector:
     def split(self) -> int:
         """Size of the max-type block (n for marshall)."""
         return self.n if self.family == "marshall" else self.p  # type: ignore[return-value]
+
+    def values(self, us: Sequence[np.ndarray]) -> np.ndarray:
+        """The copula at every entry of per-coordinate arrays that broadcast together.
+
+        A stack of m points is n arrays of length m; a grid is n axes, each
+        shaped to run along its own dimension.  The result has the
+        broadcast shape, at least one-dimensional, and every entry is the
+        float a one-point call returns.  Each generator is evaluated once
+        per entry of its coordinate's array, an entry outside [0, 1] or nan
+        raises ValueError, and the family kernel runs slab by slab.
+        """
+        us, fs = _tables(us, self)
+        out = np.empty(np.broadcast_shapes(*(u.shape for u in us)))
+        p = self.split
+        kernel = {"marshall": lambda u, f: (marshall_values(u, f),),
+                  "maxmin": lambda u, f: (maxmin_values(u, f, p),),
+                  "rmm": lambda u, f: (rmm_values(u, f, p),)}[self.family]
+        _by_slabs(kernel, (us, fs), (out,), 1 << (self.n - p) if self.family == "maxmin" else 1)
+        return out
 
     def __call__(self, u: Sequence[float]) -> float:
         if self.family == "marshall":

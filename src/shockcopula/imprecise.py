@@ -13,7 +13,8 @@ path covers both).  From a model, :func:`build_bounds` derives
   upper component bound, ``g_lo(x) = 1 - x - chi_hi(1 - x)``, and vice
   versa.
 
-Bound joint surfaces compose bound copulas with bound marginals; the rmm
+Bound joint surfaces compose bound copulas with bound marginals
+(:func:`H_bounds_values`, over per-coordinate arrays of times); the rmm
 envelope is the min and max over all vertex tuples of lower/upper
 generator choices, found from a reduced inf scan and a star-form sup
 search.  One function, :func:`rmm_envelope_values`, computes it over
@@ -24,7 +25,7 @@ all go through it.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,9 +34,9 @@ import numpy as np
 from .copulas import (
     MAX_DIMENSION,
     GeneratorVector,
-    marshall_n,
-    maxmin_n,
-    rmm_n,
+    _by_slabs,
+    _grid_arrays,
+    _tables,
     rmm_values,
 )
 from .distfn import (
@@ -59,6 +60,7 @@ __all__ = [
     "maxmin_bound_copulas",
     "maxmin_bivariate_mixed_bounds",
     "rmm_bivariate_copula_bounds",
+    "H_bounds_values",
     "marshall_H_bounds",
     "maxmin_H_bounds",
     "rmm_H_bounds",
@@ -70,9 +72,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("marshall", "maxmin", "rmm")
-
-# points per slab of rmm_envelope_values; keeps its stacked temporaries small
-_SLAB_POINTS = 8192
 
 
 def _probe_points(*dists: DistributionFn) -> list[float]:
@@ -335,26 +334,30 @@ def maxmin_bound_copulas(bf: BoundFamily, u: Sequence[float]) -> tuple[float, fl
     return bf.lower_gen(u), bf.upper_gen(u)
 
 
-def maxmin_bivariate_mixed_bounds(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
-    """Bivariate copula-level sandwich: (phi_lo, chi_hi) below, (phi_hi, chi_lo) above."""
+def _maxmin_mixed_vectors(bf: BoundFamily) -> tuple[GeneratorVector, GeneratorVector]:
+    """(phi_lo, chi_hi) and (phi_hi, chi_lo), the bivariate mixed-bound vectors."""
     _require_family(bf, "maxmin", "maxmin_bivariate_mixed_bounds")
     if bf.n != 2:
         raise ValueError("the mixed-bound sandwich is a bivariate statement")
-    lo_gens = (bf.lower_gen.generators[0], bf.upper_gen.generators[1])
-    hi_gens = (bf.upper_gen.generators[0], bf.lower_gen.generators[1])
-    return maxmin_n(lo_gens, u, 1), maxmin_n(hi_gens, u, 1)
+    lo, hi = bf.lower_gen.generators, bf.upper_gen.generators
+    return GeneratorVector("maxmin", (lo[0], hi[1]), 1), GeneratorVector("maxmin", (hi[0], lo[1]), 1)
+
+
+def maxmin_bivariate_mixed_bounds(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
+    """Bivariate copula-level sandwich: (phi_lo, chi_hi) below, (phi_hi, chi_lo) above."""
+    return tuple(gv(u) for gv in _maxmin_mixed_vectors(bf))
 
 
 def rmm_bivariate_copula_bounds(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
     """Bivariate rmm copula-level sandwich (C_hi_gens <= C <= C_lo_gens).
 
     The copula with the *lower* generator pair dominates pointwise, so the
-    returned tuple is (rmm_n(upper_gen), rmm_n(lower_gen)).
+    returned tuple is (upper_gen(u), lower_gen(u)).
     """
     _require_family(bf, "rmm", "rmm_bivariate_copula_bounds")
     if bf.n != 2:
         raise ValueError("the reversed copula-level sandwich is a bivariate statement")
-    return rmm_n(bf.upper_gen.generators, u, 1), rmm_n(bf.lower_gen.generators, u, 1)
+    return bf.upper_gen(u), bf.lower_gen(u)
 
 
 # ---------------------------------------------------------------------------
@@ -362,80 +365,55 @@ def rmm_bivariate_copula_bounds(bf: BoundFamily, u: Sequence[float]) -> tuple[fl
 # ---------------------------------------------------------------------------
 
 
+def H_bounds_values(bf: BoundFamily, xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) joint-surface bounds at per-coordinate arrays of times.
+
+    The lower generator vector is composed with the lower marginals, the
+    upper with the upper ones, by :meth:`GeneratorVector.values`.  For rmm
+    the joint is the reflected P(U_T <= x_T, U_S > x_S), so a min-type
+    coordinate enters through the survival function of the opposite bound.
+    """
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    lo, hi = ([np.array([G.value(t) for t in x.ravel().tolist()]).reshape(x.shape)
+               for G, x in zip(Gs, xs)] for Gs in (bf.lower_G, bf.upper_G))
+    if bf.family == "rmm":
+        p = bf.split
+        lo[p:], hi[p:] = [1.0 - h for h in hi[p:]], [1.0 - l for l in lo[p:]]
+    return bf.lower_gen.values(lo), bf.upper_gen.values(hi)
+
+
+def _H_bounds(family: str, model: ShockModel, x, bounds: BoundFamily | None) -> tuple[float, float]:
+    bf = bounds if bounds is not None else build_bounds(model)
+    _require_family(bf, family, f"{family}_H_bounds")
+    lo, hi = H_bounds_values(bf, [[xi] for xi in x])
+    return float(lo[0]), float(hi[0])
+
+
 def marshall_H_bounds(
     model: ShockModel, x: Sequence[float], bounds: BoundFamily | None = None
 ) -> tuple[float, float]:
-    bf = bounds if bounds is not None else build_bounds(model)
-    _require_family(bf, "marshall", "marshall_H_bounds")
-    lo_args = [g.value(xi) for g, xi in zip(bf.lower_G, x)]
-    hi_args = [g.value(xi) for g, xi in zip(bf.upper_G, x)]
-    return (
-        marshall_n(bf.lower_gen.generators, lo_args),
-        marshall_n(bf.upper_gen.generators, hi_args),
-    )
+    """:func:`H_bounds_values` of a marshall model at one point."""
+    return _H_bounds("marshall", model, x, bounds)
 
 
 def maxmin_H_bounds(
     model: ShockModel, x: Sequence[float], bounds: BoundFamily | None = None
 ) -> tuple[float, float]:
-    bf = bounds if bounds is not None else build_bounds(model)
-    _require_family(bf, "maxmin", "maxmin_H_bounds")
-    p = bf.split
-    lo_args = [g.value(xi) for g, xi in zip(bf.lower_G, x)]
-    hi_args = [g.value(xi) for g, xi in zip(bf.upper_G, x)]
-    return (
-        maxmin_n(bf.lower_gen.generators, lo_args, p),
-        maxmin_n(bf.upper_gen.generators, hi_args, p),
-    )
+    """:func:`H_bounds_values` of a maxmin model at one point."""
+    return _H_bounds("maxmin", model, x, bounds)
 
 
 def rmm_H_bounds(
     model: ShockModel, x: Sequence[float], bounds: BoundFamily | None = None
 ) -> tuple[float, float]:
-    """Bounds on the reflected joint P(U_T <= x_T, U_S > x_S).
-
-    The lower surface composes the lower generator vector with lower
-    max-type marginals and survival functions of *upper* min-type
-    marginals; the upper surface swaps the roles.
-    """
-    bf = bounds if bounds is not None else build_bounds(model)
-    _require_family(bf, "rmm", "rmm_H_bounds")
-    p = bf.split
-    lo_args = [bf.lower_G[i].value(x[i]) for i in range(p)]
-    lo_args += [1.0 - bf.upper_G[j].value(x[j]) for j in range(p, bf.n)]
-    hi_args = [bf.upper_G[i].value(x[i]) for i in range(p)]
-    hi_args += [1.0 - bf.lower_G[j].value(x[j]) for j in range(p, bf.n)]
-    return (
-        rmm_n(bf.lower_gen.generators, lo_args, p),
-        rmm_n(bf.upper_gen.generators, hi_args, p),
-    )
+    """:func:`H_bounds_values` of an rmm model at one point, bounds on the
+    reflected joint P(U_T <= x_T, U_S > x_S)."""
+    return _H_bounds("rmm", model, x, bounds)
 
 
 # ---------------------------------------------------------------------------
 # rmm envelopes over vertex generator tuples
 # ---------------------------------------------------------------------------
-
-
-def _vertex_tables(
-    bf: BoundFamily, us: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Coordinate arrays of one ndim and their lower/upper generator values.
-
-    Each generator is evaluated once per entry of its coordinate's array.
-    """
-    _require_family(bf, "rmm", "rmm envelope")
-    if len(us) != bf.n:
-        raise ValueError(f"expected {bf.n} coordinate arrays, got {len(us)}")
-    us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
-    ndim = max(u.ndim for u in us)
-    us = [u.reshape((1,) * (ndim - u.ndim) + u.shape) for u in us]
-
-    def table(gen: Generator, u: np.ndarray) -> np.ndarray:
-        return np.array([float(gen(t)) for t in u.ravel().tolist()]).reshape(u.shape)
-
-    lo = [table(g, u) for g, u in zip(bf.lower_gen.generators, us)]
-    hi = [table(g, u) for g, u in zip(bf.upper_gen.generators, us)]
-    return us, lo, hi
 
 
 def _cap_candidates(
@@ -510,7 +488,8 @@ def rmm_envelope_values(
     as in :func:`rmm_values`, and the results have the broadcast shape (at
     least one-dimensional).  Axes of a grid arrive as column-shaped arrays,
     a stack of m points as m-long arrays.  Each lower and upper generator is
-    evaluated once per entry of its coordinate's array.
+    evaluated once per entry of its coordinate's array; an entry outside
+    [0, 1] or nan raises ValueError.
 
     inf is the minimum over the tuples that are upper in exactly one
     (max-type, min-type) pair and lower elsewhere, which reaches the
@@ -528,18 +507,15 @@ def rmm_envelope_values(
     exceed the vertex maximum, so sup is not a guaranteed upper bound over
     the whole box.
 
-    The points are processed in slabs along the first axis to keep the
-    stacked temporaries small.
+    The points are processed in slabs, as by :meth:`GeneratorVector.values`,
+    to keep the stacked temporaries small.
     """
-    us, lo, hi = _vertex_tables(bf, us)
+    _require_family(bf, "rmm", "rmm envelope")
+    us, lo, hi = _tables(us, bf.lower_gen, bf.upper_gen)
     p = bf.split
     shape = np.broadcast_shapes(*(u.shape for u in us))
-    inf_out = np.empty(shape)
-    sup_out = np.empty(shape)
-    step = max(1, _SLAB_POINTS // max(1, math.prod(shape[1:])))
-    for s in range(0, shape[0], step):
-        part = [[a[s:s + step] if a.shape[0] != 1 else a for a in t] for t in (us, lo, hi)]
-        inf_out[s:s + step], sup_out[s:s + step] = _envelope_slab(*part, p)
+    inf_out, sup_out = np.empty(shape), np.empty(shape)
+    _by_slabs(lambda *part: _envelope_slab(*part, p), (us, lo, hi), (inf_out, sup_out))
     return inf_out, sup_out
 
 
@@ -556,11 +532,7 @@ def rmm_envelope_grid(
 
     Returns (inf, sup) arrays of shape ``(len(axes[0]), ..., len(axes[-1]))``.
     """
-    n = len(axes)
-    return rmm_envelope_values(
-        bf, [np.asarray(a, dtype=float).reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
-             for k, a in enumerate(axes)]
-    )
+    return rmm_envelope_values(bf, _grid_arrays(axes))
 
 
 def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
@@ -569,7 +541,8 @@ def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, 
     Every tuple is evaluated, in one :func:`rmm_values` call; this is the
     reference the envelope is checked against.
     """
-    us, lo, hi = _vertex_tables(bf, [[x] for x in u])
+    _require_family(bf, "rmm", "rmm envelope")
+    us, lo, hi = _tables([[x] for x in u], bf.lower_gen, bf.upper_gen)
     masks = np.arange(1 << bf.n).reshape(-1, 1)
     fs = [np.where(masks >> k & 1, h, l) for k, (l, h) in enumerate(zip(lo, hi))]
     values = rmm_values(us, fs, bf.split)
@@ -591,22 +564,18 @@ def maxmin_vertex_scan(
     bf = bounds if bounds is not None else build_bounds(model)
     _require_family(bf, "maxmin", "maxmin_vertex_scan")
     n, p = bf.n, bf.split
-    lo = bf.lower_gen.generators
-    hi = bf.upper_gen.generators
+    us = np.array(points, dtype=float).reshape(-1, n).T
+    vertex = np.array([GeneratorVector("maxmin", gens, p).values(us) for gens in
+                       itertools.product(*zip(bf.lower_gen.generators, bf.upper_gen.generators))])
     interior = [
-        build_bounds(model.member_model([t] * n)).lower_gen for t in thetas
+        build_bounds(model.member_model([t] * n)).lower_gen.values(us).tolist() for t in thetas
     ]
     worst = 0.0
     outside = 0
     rows = []
-    for u in points:
-        vmin, vmax = math.inf, -math.inf
-        for mask in range(1 << n):
-            gens = tuple(hi[k] if mask >> k & 1 else lo[k] for k in range(n))
-            c = maxmin_n(gens, u, p)
-            vmin, vmax = min(vmin, c), max(vmax, c)
-        for gv in interior:
-            c = gv(u)
+    for u, vmin, vmax, *cs in zip(points, vertex.min(axis=0).tolist(), vertex.max(axis=0).tolist(),
+                                  *interior):
+        for c in cs:
             exc = max(vmin - c, c - vmax, 0.0)
             if exc > 1e-12:
                 outside += 1

@@ -1,7 +1,8 @@
 """Independent verification tooling: oracles, axiom checks, simulation.
 
 The oracles here reuse none of the copula formulas they are meant to
-check (the dense evaluator :func:`copula_grid` does, for rmm).  The
+check (the dense evaluator :func:`copula_grid` is no oracle: it is
+:meth:`GeneratorVector.values` on a grid).  The
 discrete oracle computes joint probabilities by conditioning on the
 common shock (and, as a second independent route, by brute-force
 enumeration of the full support lattice).  Monte Carlo estimates come from
@@ -24,14 +25,11 @@ import numpy as np
 
 from .copulas import (
     GeneratorVector,
+    _grid_arrays,
     joint_marshall_H,
     joint_maxmin_H,
     joint_rmm_Hsigma,
     joint_rmm_product,
-    marshall_n,
-    maxmin_n,
-    rmm_n,
-    rmm_values,
 )
 from .distfn import (
     Clamp,
@@ -50,13 +48,10 @@ from .imprecise import (
     BoundFamily,
     PBox,
     ShockModel,
+    H_bounds_values,
+    _maxmin_mixed_vectors,
     build_bounds,
-    marshall_H_bounds,
-    maxmin_H_bounds,
-    maxmin_bivariate_mixed_bounds,
     maxmin_vertex_scan,
-    rmm_bivariate_copula_bounds,
-    rmm_H_bounds,
     rmm_envelope_full_scan,
     rmm_envelope_grid,
     rmm_envelope_values,
@@ -161,72 +156,11 @@ class CheckReport:
 def copula_grid(gv: GeneratorVector, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Dense evaluation of a generator vector's copula on an axis grid.
 
-    Vectorized re-implementation of the marshall and maxmin formulas (kept
-    in lockstep by tests); rmm goes through :func:`copulas.rmm_values`, the
-    package's one array form of the rmm pair formula.  Used where
+    :meth:`GeneratorVector.values` with axis k running along dimension k;
+    the result has shape ``(len(axes[0]), ..., len(axes[-1]))``.  Used where
     point-by-point evaluation would dominate a suite's runtime.
     """
-    n = gv.n
-    if len(axes) != n:
-        raise ValueError(f"expected {n} axes, got {len(axes)}")
-    axes = [np.asarray(a, dtype=float) for a in axes]
-
-    def bc(values: np.ndarray, k: int) -> np.ndarray:
-        shape = [1] * n
-        shape[k] = values.size
-        return values.reshape(shape)
-
-    U = [bc(axes[k], k) for k in range(n)]
-    F = [bc(np.array([float(gen(t)) for t in axes[k]]), k) for k, gen in enumerate(gv.generators)]
-
-    if gv.family == "marshall":
-        terms = []
-        for i in range(n):
-            t = U[i]
-            for j in range(n):
-                if j != i:
-                    t = t * F[j]
-            terms.append(t)
-        out = terms[0]
-        for t in terms[1:]:
-            out = np.minimum(out, t)
-        return out
-
-    p = gv.split
-    if gv.family == "maxmin":
-        m = n - p
-        dag_max = []
-        for i in range(p):
-            safe = np.where(F[i] > 0.0, F[i], 1.0)
-            dag_max.append(np.where(F[i] > 0.0, U[i] / safe, 0.0))
-        dag_min = []
-        for b in range(m):
-            cj = F[p + b]
-            denom = 1.0 - cj
-            safe = np.where(denom > 0.0, denom, 1.0)
-            dag_min.append(np.where(U[p + b] >= 1.0, 1.0, (U[p + b] - cj) / safe))
-        floor = dag_max[0]
-        for d in dag_max[1:]:
-            floor = np.minimum(floor, d)
-        total = np.zeros([a.size for a in axes])
-        for mask in range(1 << m):
-            lo = floor
-            hi = None
-            weight = None
-            for b in range(m):
-                if mask >> b & 1:
-                    lo = np.minimum(lo, dag_min[b])
-                else:
-                    weight = F[p + b] if weight is None else weight * F[p + b]
-                    hi = dag_min[b] if hi is None else np.maximum(hi, dag_min[b])
-            bracket = np.maximum(lo if hi is None else lo - hi, 0.0)
-            total = total + (bracket if weight is None else weight * bracket)
-        prefactor = F[0]
-        for i in range(1, p):
-            prefactor = prefactor * F[i]
-        return prefactor * total
-
-    return rmm_values(U, F, p)
+    return gv.values(_grid_arrays(axes))
 
 
 def _grid_values(C, n: int, grid: np.ndarray) -> np.ndarray:
@@ -613,23 +547,49 @@ def suite_oracles(seed: int, models_per_family: int = 100, points_per_model: int
             ]
             direct.instances += 1
             composed.instances += 1
-            for x in _lattice_points(rng, points_per_model, n):
+            points = _lattice_points(rng, points_per_model, n)
+            if reflected:
+                composed_values = [joint_rmm_Hsigma(gens, margins, z, x) for x in points]
+            else:
+                composed_values = gens.values(
+                    [[g.value(x[k]) for x in points] for k, g in enumerate(lifetimes)]).tolist()
+            for x, got_composed in zip(points, composed_values):
                 want = oracle.exact_joint(x, reflected_tail=reflected)
                 if family == "marshall":
                     got_direct = joint_marshall_H(margins, z, x)
-                    got_composed = marshall_n(gens.generators, [g.value(xi) for g, xi in zip(lifetimes, x)])
                 elif family == "maxmin":
                     got_direct = joint_maxmin_H(margins, z, x, p)
-                    got_composed = maxmin_n(gens.generators, [g.value(xi) for g, xi in zip(lifetimes, x)], p)
                 else:
                     got_direct = joint_rmm_product(margins, z, x, p)
-                    got_composed = joint_rmm_Hsigma(gens, margins, z, x)
                 if abs(want - got_direct) > 1e-12:
                     direct.record(label, x, want, got_direct)
                 if abs(want - got_composed) > 1e-12:
                     composed.record(label, x, want, got_composed)
         checks.extend([direct, composed])
     return _suite_result("oracles", seed, checks)
+
+
+def _columns(points: list[list[float]], n: int) -> np.ndarray:
+    """A stack of n-coordinate points as n per-coordinate arrays."""
+    return np.array(points, dtype=float).reshape(-1, n).T
+
+
+def _lattice_with_H_bounds(rng, bf: BoundFamily, count: int):
+    """(x, lower, upper) for lattice points x, the bounds from one stacked call."""
+    lattice = _lattice_points(rng, count, bf.n)
+    lows, highs = H_bounds_values(bf, _columns(lattice, bf.n))
+    return zip(lattice, lows.tolist(), highs.tolist())
+
+
+def _copula_sandwich(report, label, unit, lower, upper, members, tol) -> None:
+    """Record each point where a member's copula leaves [lower, upper] by more than tol."""
+    us = _columns(unit, lower.n)
+    lows, highs = lower.values(us).tolist(), upper.values(us).tolist()
+    mids = [build_bounds(m).lower_gen.values(us).tolist() for m in members]
+    for q, u in enumerate(unit):
+        for values in mids:
+            if not (lows[q] <= values[q] + tol and values[q] <= highs[q] + tol):
+                report.record(label, u, (lows[q], highs[q]), values[q])
 
 
 def _member_models(rng: np.random.Generator, model: ShockModel) -> list[ShockModel]:
@@ -645,18 +605,11 @@ def _theorem_checks_marshall(rng, model, idx, points, reports) -> None:
     bf = build_bounds(model)
     z = model.exogenous
     members = _member_models(rng, model)
-    member_bfs = [build_bounds(m) for m in members]
 
-    for u in _unit_points(rng, points, n):
-        lo = marshall_n(bf.lower_gen.generators, u)
-        hi = marshall_n(bf.upper_gen.generators, u)
-        for m_bf in member_bfs:
-            mid = marshall_n(m_bf.lower_gen.generators, u)
-            if not (lo <= mid + 1e-12 and mid <= hi + 1e-12):
-                reports["copula-sandwich"].record(label, u, (lo, hi), mid)
+    _copula_sandwich(reports["copula-sandwich"], label, _unit_points(rng, points, n),
+                     bf.lower_gen, bf.upper_gen, members, 1e-12)
 
-    for x in _lattice_points(rng, points, n):
-        lo, hi = marshall_H_bounds(model, x, bf)
+    for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
         for member in members:
             mid = joint_marshall_H(member.precise_marginals(), z, x)
             if not (lo <= mid + 1e-12 and mid <= hi + 1e-12):
@@ -695,8 +648,7 @@ def _theorem_checks_maxmin(rng, model, idx, points, reports) -> None:
     z = model.exogenous
     members = _member_models(rng, model)
 
-    for x in _lattice_points(rng, points, n):
-        lo, hi = maxmin_H_bounds(model, x, bf)
+    for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
         for member in members:
             mid = joint_maxmin_H(member.precise_marginals(), z, x, p)
             if not (lo <= mid + 1e-10 and mid <= hi + 1e-10):
@@ -728,13 +680,8 @@ def _theorem_checks_maxmin(rng, model, idx, points, reports) -> None:
                             reports["dagger-identity"].record(label, [k, x[k]], z.value(x[k]), dag)
 
     if n == 2:
-        member_bfs = [build_bounds(m) for m in members]
-        for u in _unit_points(rng, points, 2):
-            lo, hi = maxmin_bivariate_mixed_bounds(bf, u)
-            for m_bf in member_bfs:
-                mid = maxmin_n(m_bf.lower_gen.generators, u, 1)
-                if not (lo <= mid + 1e-10 and mid <= hi + 1e-10):
-                    reports["bivariate-mixed-sandwich"].record(label, u, (lo, hi), mid)
+        _copula_sandwich(reports["bivariate-mixed-sandwich"], label, _unit_points(rng, points, 2),
+                         *_maxmin_mixed_vectors(bf), members, 1e-10)
     for r in reports.values():
         r.instances += 1
 
@@ -755,7 +702,7 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
             if flo > fhi + 1e-12:
                 reports["generator-order"].record(label, [k, float(t)], "lower <= upper", (flo, fhi))
 
-    for x in _lattice_points(rng, points, n):
+    for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
         for k in range(n):
             if bf.lower_G[k].value(x[k]) > bf.upper_G[k].value(x[k]) + 1e-12:
                 reports["marginal-order"].record(
@@ -801,7 +748,6 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
                     if abs(prod - 1.0) > 1e-10:
                         reports["star-products"].record(label, [i, j, x[i]], 1.0, prod)
 
-        lo, hi = rmm_H_bounds(model, x, bf)
         for member in members:
             mid = joint_rmm_product(member.precise_marginals(), z, x, p)
             if not (lo <= mid + 1e-10 and mid <= hi + 1e-10):
@@ -811,9 +757,8 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
         if abs(lo - want_lo) > 1e-12 or abs(hi - want_hi) > 1e-12:
             reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
 
-    member_bfs = [build_bounds(m) for m in members]
     unit = _unit_points(rng, points, n)
-    inf_env, sup_env = rmm_envelope_values(bf, np.array(unit, dtype=float).reshape(-1, n).T)
+    inf_env, sup_env = rmm_envelope_values(bf, _columns(unit, n))
     for u, inf_red, sup_red in zip(unit, inf_env.tolist(), sup_env.tolist()):
         inf_full, sup_full = rmm_envelope_full_scan(bf, u)
         if abs(inf_red - inf_full) > 1e-12:
@@ -823,12 +768,10 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
             reports["envelope-sup-bounded"].record(label, u, sup_full, sup_red)
         if gap > reports["envelope-sup-bounded"].diagnostics.get("max_sup_gap", 0.0):
             reports["envelope-sup-bounded"].diagnostics["max_sup_gap"] = gap
-        if n == 2:
-            lo_c, hi_c = rmm_bivariate_copula_bounds(bf, u)
-            for m_bf in member_bfs:
-                mid = rmm_n(m_bf.lower_gen.generators, u, 1)
-                if not (lo_c <= mid + 1e-10 and mid <= hi_c + 1e-10):
-                    reports["bivariate-copula-sandwich"].record(label, u, (lo_c, hi_c), mid)
+    if n == 2:
+        # the copula with the *lower* generators dominates pointwise
+        _copula_sandwich(reports["bivariate-copula-sandwich"], label, unit,
+                         bf.upper_gen, bf.lower_gen, members, 1e-10)
     for r in reports.values():
         r.instances += 1
 
@@ -836,11 +779,13 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
 def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instance: int = 1000) -> dict:
     """Order and identity statements for bound families of random p-box models.
 
-    The rmm envelope checks evaluate :func:`rmm_envelope_values` once per
-    instance over its stack of random unit points and assert, point by
-    point, that both halves equal the full vertex scan within 1e-12: the
-    reduced inf scan, and the star-form sup (``rmm-envelope-sup-bounded``,
-    whose ``max_sup_gap`` diagnostic records the largest absolute gap).
+    Each instance's copula sandwiches, H bounds and rmm envelope are
+    evaluated once over its stack of points (:meth:`GeneratorVector.values`,
+    :func:`H_bounds_values`, :func:`rmm_envelope_values`) and checked point
+    by point.  Both envelope halves must equal the full vertex scan within
+    1e-12: the reduced inf scan, and the star-form sup
+    (``rmm-envelope-sup-bounded``, whose ``max_sup_gap`` diagnostic records
+    the largest absolute gap).
     """
     rng = philox_stream(seed, 307)
     checks: list[CheckReport] = []

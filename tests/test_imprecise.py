@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envelope_reference
-from shockcopula import imprecise
+import kernel_reference
+from shockcopula import copulas, imprecise
 from shockcopula.copulas import joint_marshall_H, joint_maxmin_H, joint_rmm_product, rmm_n
 from shockcopula.distfn import DiracStep, Discrete, Exponential, PiecewiseLinearWithJumps, Uniform
 from shockcopula.imprecise import (
@@ -29,7 +31,7 @@ from shockcopula.imprecise import (
     rmm_envelope_values,
     rmm_H_bounds,
 )
-from shockcopula.verify import philox_stream, random_pbox_shock_model
+from shockcopula.verify import copula_grid, philox_stream, random_pbox_shock_model
 
 A1, A2 = 1.0 - math.exp(-1.0), 1.0 - math.exp(-2.0)
 B1, B2 = math.exp(-1.0), math.exp(-2.0)
@@ -436,19 +438,19 @@ def test_envelope_grid_equals_the_scalar_envelope_bit_for_bit(monkeypatch, kind)
                     for _ in range(n)]
             assert_grid_matches_scalar(bf, axes)
             # two-index slabs, so the odd first axis ends in a short one
-            monkeypatch.setattr(imprecise, "_SLAB_POINTS", 2 * sizes[n] ** (n - 1))
+            monkeypatch.setattr(copulas, "_SLAB_POINTS", 2 * sizes[n] ** (n - 1))
             assert_grid_matches_scalar(bf, axes)
             monkeypatch.undo()
 
 
-def drawn_rmm_model(rng, kind, n, p):
+def drawn_model(rng, kind, n, p, family="rmm"):
     if kind == "continuous":
         # one box for every coordinate half of the time, so ratios tie
         shared = rng.random() < 0.5
         boxes = [continuous_box(rng)] * n if shared else [continuous_box(rng) for _ in range(n)]
-        return ShockModel("rmm", tuple(boxes), Exponential(float(rng.uniform(0.5, 2.0))), p)
-    drawn = random_pbox_shock_model(rng, "rmm", n)
-    return ShockModel("rmm", drawn.endogenous, drawn.exogenous, p)
+        return ShockModel(family, tuple(boxes), Exponential(float(rng.uniform(0.5, 2.0))), p)
+    drawn = random_pbox_shock_model(rng, family, n)
+    return ShockModel(family, drawn.endogenous, drawn.exogenous, p)
 
 
 def unit_stacks(n):
@@ -463,12 +465,12 @@ def unit_stacks(n):
 def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
     rng = philox_stream(seed, 5)
     for p in range(1, n):
-        bf = build_bounds(drawn_rmm_model(rng, kind, n, p))
+        bf = build_bounds(drawn_model(rng, kind, n, p))
         points = data.draw(unit_stacks(n))
         want = np.array([envelope_reference.envelope(bf, u) for u in points])
         inf, sup = rmm_envelope_values(bf, np.array(points).T)
         assert np.array_equal(bits(inf), bits(want[:, 0])) and np.array_equal(bits(sup), bits(want[:, 1]))
-        with mock.patch.object(imprecise, "_SLAB_POINTS", 2):
+        with mock.patch.object(copulas, "_SLAB_POINTS", 2):
             assert np.array_equal(bits(rmm_envelope_values(bf, np.array(points).T)), bits(want.T))
         for u, w in zip(points, want):
             assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
@@ -480,6 +482,82 @@ def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
         for idx in np.ndindex(*inf.shape):
             w = envelope_reference.envelope(bf, [float(axes[k][i]) for k, i in enumerate(idx)])
             assert np.array_equal(bits([inf[idx], sup[idx]]), bits(w)), (p, idx)
+
+
+def reference_values(gv, points):
+    if gv.family == "marshall":
+        return np.array([kernel_reference.marshall_n(gv.generators, u) for u in points])
+    return np.array([kernel_reference.maxmin_n(gv.generators, u, gv.p) for u in points])
+
+
+@pytest.mark.parametrize("family", ["marshall", "maxmin"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["continuous", "discrete"]))
+@settings(max_examples=10, deadline=None)
+def test_kernels_equal_the_scalar_and_grid_references_bit_for_bit(family, n, data, seed, kind):
+    rng = philox_stream(seed, 6)
+    for p in [None] if family == "marshall" else range(1, n):
+        bf = build_bounds(drawn_model(rng, kind, n, p, family))
+        for gv in (bf.lower_gen, bf.upper_gen):
+            points = data.draw(unit_stacks(n))[:1 if n == 12 else None]
+            # the old scalar form divided by 1 - chi and raised where chi
+            # rounds to 1 below u = 1; the kernels guard that denominator
+            # as the old grid did
+            undefined = [u for u in points
+                         if any(u[k] < 1.0 and gv.generators[k](u[k]) == 1.0 for k in range(gv.split, n))]
+            assert all(0.0 <= gv(u) <= 1.0 for u in undefined)
+            points = [u for u in points if u not in undefined]
+            if not points:
+                continue
+            want = reference_values(gv, points)
+            assert bits(gv.values(np.array(points).T)).tobytes() == bits(want).tobytes()
+            with mock.patch.object(copulas, "_SLAB_POINTS", 2):
+                assert bits(gv.values(np.array(points).T)).tobytes() == bits(want).tobytes()
+            assert bits([gv(u) for u in points]).tobytes() == bits(want).tobytes(), (p, points)
+            if n == 12:
+                continue
+            # a grid through the points' coordinates
+            axes = [np.array(sorted({u[k] for u in points})[:3 if n <= 4 else 2]) for k in range(n)]
+            got = copula_grid(gv, axes)
+            with mock.patch.object(copulas, "_SLAB_POINTS", 2):
+                assert bits(copula_grid(gv, axes)).tobytes() == bits(got).tobytes()
+            idx = list(np.ndindex(*got.shape))
+            scalar = reference_values(gv, [[float(axes[k][i]) for k, i in enumerate(j)] for j in idx])
+            assert bits(got).tobytes() == bits(scalar).tobytes(), p
+            # the old grid started the max over S\K at the first dagger, not at
+            # 0, so where a chi value rounds above its argument it differs from
+            # the scalar form, which the kernels follow
+            old = np.broadcast_to(kernel_reference.copula_grid(gv, axes), got.shape)
+            kept = np.ones(got.shape, dtype=bool)
+            for k in range(gv.split, n):
+                below = [gv.generators[k](t) <= t for t in axes[k].tolist()]
+                kept &= np.array(below).reshape((1,) * k + (-1,) + (1,) * (n - 1 - k))
+            assert bits(got[kept]).tobytes() == bits(old[kept]).tobytes(), p
+
+
+BAD_POINTS = [(-0.2, 0.5, 0.5), (1.5, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.inf)]
+ARRAY_ENTRIES = {
+    "copula_grid": lambda bf, u: copula_grid(bf.lower_gen, [[x] for x in u]),
+    "GeneratorVector.values": lambda bf, u: bf.upper_gen.values([[x] for x in u]),
+    "rmm_envelope": rmm_envelope,
+    "rmm_envelope_values": lambda bf, u: rmm_envelope_values(bf, np.array([u]).T),
+    "rmm_envelope_grid": lambda bf, u: rmm_envelope_grid(bf, [[x] for x in u]),
+}
+
+
+@pytest.mark.parametrize("entry", list(ARRAY_ENTRIES))
+def test_array_entries_reject_coordinates_outside_the_unit_interval(entry):
+    call = ARRAY_ENTRIES[entry]
+    families = ("rmm",) if entry.startswith("rmm") else ("marshall", "maxmin", "rmm")
+    for family in families:
+        bf = build_bounds(rate_box_model(family, n=3))
+        for u in BAD_POINTS:
+            with pytest.raises(ValueError) as one_point:
+                bf.lower_gen(list(u))
+            with pytest.raises(ValueError, match=re.escape(str(one_point.value))):
+                call(bf, u)
+        call(bf, (0.0, 0.5, 1.0))
 
 
 def test_envelope_grid_checks_its_inputs():
