@@ -31,9 +31,13 @@ Level crossings (``smallest_preimage`` / ``largest_preimage``) of the
 composites and of PiecewiseLinearWithJumps use a table of one-sided limits
 at the jump points, built once at construction: one bisection of the table
 finds the jump where the crossing happens or the continuous stretch it lies
-in, and a bisection of the function to the float fixpoint then locates a
-crossing inside that stretch.  The parametric kinds and Discrete invert in
-closed form or by table lookup of their own.
+in.  Inside a stretch the answer is the float that bisection of the function
+to the float fixpoint returns.  Secant steps and two probes certify a narrow
+band around the crossing, and the bisection's midpoints are replayed so that
+only those inside the band are evaluated.  This is exact as long as every
+float value of the function lies within ``_MARGIN / 2`` (2^-49) of one
+monotone function.  The parametric kinds and Discrete invert in closed form
+or by table lookup of their own.
 """
 
 from __future__ import annotations
@@ -105,17 +109,17 @@ class DistributionFn(ABC):
 
         Defined for u strictly between 0 and 1.  The first jump whose left
         or right limit reaches u is found by one bisection of the jump-limit
-        table the object builds at construction (``_limits``); a crossing
-        inside a continuous segment is then located by bisection run to the
-        float fixpoint.
+        table the object builds at construction (``_limits``).  A crossing
+        inside a continuous stretch is the float that bisection of F run to
+        the float fixpoint returns; :func:`_upcrossing` finds that float with
+        fewer evaluations of F, assuming F's rounding stays within
+        ``_MARGIN / 2`` of a monotone function.
         """
         _require_interior(u)
         t = self._limits
         j = bisect_left(t.rising, u)
-        if j == len(t.xs):
-            return _upcrossing(self, t.xs[-1] if t.xs else None, None, u)
-        if t.lefts[j] >= u:
-            return _upcrossing(self, t.xs[j - 1] if j else None, t.xs[j], u)
+        if j == len(t.xs) or t.lefts[j] >= u:
+            return _upcrossing(self, t, j, u)
         return t.xs[j]
 
     def largest_preimage(self, u: float) -> float:
@@ -123,15 +127,14 @@ class DistributionFn(ABC):
 
         The mirror image of :meth:`smallest_preimage`: the last jump whose
         left or right limit is at most u comes from one bisection of the
-        jump-limit table, then continuous bisection if needed.
+        jump-limit table; a crossing inside a continuous stretch comes from
+        :func:`_downcrossing` under the same margin assumption.
         """
         _require_interior(u)
         t = self._limits
         j = bisect_right(t.falling, u) - 1
-        if j < 0:
-            return _downcrossing(self, None, t.xs[0] if t.xs else None, u)
-        if t.rights[j] <= u:
-            return _downcrossing(self, t.xs[j], t.xs[j + 1] if j + 1 < len(t.xs) else None, u)
+        if j < 0 or t.rights[j] <= u:
+            return _downcrossing(self, t, j + 1, u)
         return t.xs[j]
 
 
@@ -163,62 +166,151 @@ class _LimitTable(NamedTuple):
         falling = array("d", accumulate(map(min, lefts[::-1], rights[::-1]), min))[::-1]
         return cls(xs, lefts, rights, rising, falling)
 
+    def stretch(self, k: int) -> tuple[float | None, float | None, float | None, float | None]:
+        """(lo, F(lo+), hi, F(hi-)) of the continuous stretch between jumps k-1 and k.
+
+        An end past the first or the last jump is open and reads None.
+        """
+        lo, f_lo = (self.xs[k - 1], self.rights[k - 1]) if k else (None, None)
+        hi, f_hi = (self.xs[k], self.lefts[k]) if k < len(self.xs) else (None, None)
+        return lo, f_lo, hi, f_hi
+
 
 def _require_interior(u: float) -> None:
     if not 0.0 < u < 1.0:
         raise ValueError(f"preimage is defined for u in (0, 1), got {u!r}")
 
 
-def _upcrossing(fn: DistributionFn, lo: float | None, hi: float | None, u: float) -> float:
-    """inf{x : F(x) >= u} inside (lo, hi], F continuous on the open part."""
+# Margin of the band certificates in `_bisection_end`.  The search assumes that
+# every float value F(x) lies within M/2 = 2^-49 of one monotone function, the
+# exact F.  A value is a few roundings of numbers in [0, 1], each within
+# 2^-54; against exact arithmetic the benchmark's lifetimes and random
+# composites err by at most about 2.4 * 2^-53.  Then F(a) <= t - M at one
+# point a puts F(x) < t at every x <= a, and F(b) >= t + M at one point b puts
+# F(x) >= t at every x >= b, even where the rounded F is not monotone: t - M
+# is exact for t >= M, and rounding t + M costs less than the float step
+# below t.  A smaller M certifies narrower bands, saving evaluations; a larger
+# one tolerates more rounding.
+_MARGIN = 2.0 ** -48
+# Evaluations of F that `_bisection_end` spends before its replay, on secant
+# steps and band probes together.
+_SEARCH_STEPS = 12
+
+
+def _upcrossing(fn: DistributionFn, table: _LimitTable, k: int, u: float) -> float:
+    """inf{x : F(x) >= u} on stretch k of the table, F continuous inside it."""
+    lo, f_lo, hi, f_hi = table.stretch(k)
+    seen: list[tuple[float, float]] = []
     if hi is None:
-        base = lo if lo is not None else 0.0
-        step = 1.0
-        hi = base + step
-        while fn.value(hi) < u:
-            step *= 2.0
-            hi = base + step
+        hi, f_hi = _walk(fn, 0.0 if lo is None else lo, 1.0, u, seen)
     if lo is None:
-        step = 1.0
-        lo = hi - step
-        while fn.value(lo) >= u:
-            step *= 2.0
-            lo = hi - step
-    # Invariant: F(lo) < u <= F(hi).  Bisect to adjacent floats.
+        lo, f_lo = _walk(fn, hi, -1.0, u, seen)
+    return _bisection_end(fn, lo, f_lo, hi, f_hi, u, seen)[1]
+
+
+def _downcrossing(fn: DistributionFn, table: _LimitTable, k: int, u: float) -> float:
+    """sup{x : F(x) <= u} on stretch k of the table, F continuous inside it."""
+    # for floats, F(x) > u exactly when F(x) >= the next float above u
+    above = math.nextafter(u, POS_INF)
+    lo, f_lo, hi, f_hi = table.stretch(k)
+    seen: list[tuple[float, float]] = []
+    if lo is None:
+        lo, f_lo = _walk(fn, 0.0 if hi is None else hi, -1.0, above, seen)
+    if hi is None:
+        hi, f_hi = _walk(fn, lo, 1.0, above, seen)
+    return _bisection_end(fn, lo, f_lo, hi, f_hi, above, seen)[0]
+
+
+def _walk(fn: DistributionFn, base: float, sign: float, t: float,
+          seen: list[tuple[float, float]]) -> tuple[float, float]:
+    """(x, F(x)) at the first x = base + sign * 2^k, k = 0, 1, ..., past level t.
+
+    Going up (sign 1) that is the first x with F(x) >= t, going down the
+    first x with F(x) < t.  Every (x, F(x)) evaluated is appended to seen.
+    """
+    step = 1.0
+    while True:
+        x = base + sign * step
+        f = fn.value(x)
+        seen.append((x, f))
+        if (f >= t) == (sign > 0.0):
+            return x, f
+        step *= 2.0
+
+
+def _bisection_end(fn: DistributionFn, lo: float, f_lo: float, hi: float, f_hi: float,
+                   t: float, seen: list[tuple[float, float]]) -> tuple[float, float]:
+    """The adjacent floats (lo, hi) where bisection for level t ends.
+
+    The bisection keeps F(lo) < t <= F(hi) and halves [lo, hi] until no float
+    lies strictly inside.  f_lo and f_hi are F at the ends, or its limits
+    there from inside; seen holds other points where F is known.
+    Safeguarded secant steps first find an x with |F(x) - t| < _MARGIN, and
+    probes on either side of it certify a band [a, b] (see `_MARGIN`).  Then
+    the bisection's own midpoints are replayed from the given bracket: a
+    midpoint <= a moves lo and one >= b moves hi without evaluating F,
+    because F there is certainly below or above t.  Only midpoints inside
+    the band are evaluated, so the result is the float the plain bisection
+    returns.  Where no band is found, every midpoint is evaluated, which is
+    the plain bisection after at most _SEARCH_STEPS extra evaluations.
+    """
+    value = fn.value
+    below, beyond = t - _MARGIN, t + _MARGIN
+    a, b = lo, hi  # F < t at every midpoint <= a, F >= t at every midpoint >= b
+    # the secant starts from the known points nearest the crossing on either side
+    x0, f0, x1, f1 = lo, f_lo, hi, f_hi
+    for x, f in seen:
+        if x0 < x < x1:
+            if f < t:
+                x0, f0 = x, f
+            else:
+                x1, f1 = x, f
+    xl, xh = x0, x1  # F < t at xl, F >= t at xh
+    spent = 0
+    while spent < _SEARCH_STEPS:
+        # the secant through the last two points; a flat pair bisects instead
+        x = x1 - (f1 - t) * (x1 - x0) / (f1 - f0) if f1 != f0 else xl
+        if not xl < x < xh:
+            x = 0.5 * (xl + xh)
+            if not xl < x < xh:
+                break
+        f = value(x)
+        spent += 1
+        if f < t:
+            xl = x
+            if f <= below:
+                a = x
+        else:
+            xh = x
+            if f >= beyond:
+                b = x
+        x0, f0, x1, f1 = x1, f1, x, f
+        if below < f < beyond:
+            # probe just past where F should clear the margin on either side
+            slope = (f1 - f0) / (x1 - x0)
+            if not 0.0 < slope < POS_INF:
+                break
+            y = x - 1.25 * (f - below) / slope
+            if a < y and spent < _SEARCH_STEPS:
+                spent += 1
+                if value(y) <= below:
+                    a = y
+            y = x + 1.25 * (beyond - f) / slope
+            if y < b and spent < _SEARCH_STEPS:
+                spent += 1
+                if value(y) >= beyond:
+                    b = y
+            break
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return hi
-        if fn.value(mid) >= u:
+            return lo, hi
+        if mid <= a:
+            lo = mid
+        elif mid >= b or value(mid) >= t:
             hi = mid
         else:
             lo = mid
-
-
-def _downcrossing(fn: DistributionFn, lo: float | None, hi: float | None, u: float) -> float:
-    """sup{x : F(x) <= u} inside [lo, hi)."""
-    if lo is None:
-        base = hi if hi is not None else 0.0
-        step = 1.0
-        lo = base - step
-        while fn.value(lo) > u:
-            step *= 2.0
-            lo = base - step
-    if hi is None:
-        step = 1.0
-        hi = lo + step
-        while fn.value(hi) <= u:
-            step *= 2.0
-            hi = lo + step
-    # Invariant: F(lo) <= u < F(hi).
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if fn.value(mid) <= u:
-            lo = mid
-        else:
-            hi = mid
 
 
 # ---------------------------------------------------------------------------
@@ -528,21 +620,14 @@ class SurvivalComplementProduct(DistributionFn):
         )
         object.__setattr__(self, "_limits", _LimitTable.of(self))
 
-    @staticmethod
-    def _combine(a: float, b: float) -> float:
-        # exact at the endpoint: a + b - a*b rounds below 1 for b == 1, a near 1
-        if a == 1.0 or b == 1.0:
-            return 1.0
-        return a + b - a * b
-
     def value(self, x: float) -> float:
-        return self._combine(self.first.value(x), self.second.value(x))
+        return _survival_join(self.first.value(x), self.second.value(x))
 
     def left_limit(self, x: float) -> float:
-        return self._combine(self.first.left_limit(x), self.second.left_limit(x))
+        return _survival_join(self.first.left_limit(x), self.second.left_limit(x))
 
     def right_limit(self, x: float) -> float:
-        return self._combine(self.first.right_limit(x), self.second.right_limit(x))
+        return _survival_join(self.first.right_limit(x), self.second.right_limit(x))
 
     def jump_points(self) -> tuple[float, ...]:
         return self._jumps
@@ -659,6 +744,17 @@ class Switch(DistributionFn):
 
     def jump_points(self) -> tuple[float, ...]:
         return self._jumps
+
+
+def _survival_join(a: float, b: float) -> float:
+    """a + b - a*b, kept exact when either argument is 1.
+
+    Without the endpoint case a + b - a*b rounds below 1 for b == 1 and a
+    near 1.
+    """
+    if a == 1.0 or b == 1.0:
+        return 1.0
+    return a + b - a * b
 
 
 def _merge_jumps(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:

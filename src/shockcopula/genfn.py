@@ -48,6 +48,7 @@ from .distfn import (
     DistributionFn,
     Product,
     SurvivalComplementProduct,
+    _survival_join,
     from_spec as dist_from_spec,
     lifetime_max,
     lifetime_min,
@@ -111,13 +112,6 @@ class DegenerateModelError(ValueError):
 
 class GeneratorDomainError(ValueError):
     """A transform was queried outside its domain."""
-
-
-def _survival_join(a: float, b: float) -> float:
-    """a + b - a*b, kept exact when either argument is 1."""
-    if a == 1.0 or b == 1.0:
-        return 1.0
-    return a + b - a * b
 
 
 class Generator(ABC):

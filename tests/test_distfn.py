@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shockcopula.distfn import (
+    _SEARCH_STEPS,
     Clamp,
     Convex,
     DiracStep,
     Discrete,
+    DistributionFn,
     Exponential,
     PiecewiseLinearWithJumps,
     Product,
@@ -22,6 +24,7 @@ from shockcopula.distfn import (
     lifetime_min,
     to_spec,
 )
+from shockcopula.genfn import STAR_PROBE
 from preimage_scan import scan_largest_preimage, scan_smallest_preimage
 
 LATTICE = [k * 0.5 for k in range(-2, 25)]
@@ -342,3 +345,77 @@ def test_table_preimages_equal_the_linear_scan_bit_for_bit(f, extra):
         if not isinstance(f, PiecewiseLinearWithJumps):
             assert f.smallest_preimage(u).hex() == scan_smallest_preimage(f, u).hex(), u
         assert f.largest_preimage(u).hex() == scan_largest_preimage(f, u).hex(), u
+
+
+# -- continuous stretches against the plain bisection ------------------------
+
+# the box kinds and shocks of the n = 12 benchmark models, and Dirac shocks
+_boxes = st.one_of(
+    st.floats(0.3, 3.0).map(Exponential),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 3.0)).map(lambda p: Uniform(p[0], p[0] + p[1])),
+    _pwl(),
+)
+_shocks = st.one_of(st.floats(0.3, 3.0).map(Exponential), st.sampled_from(LATTICE).map(DiracStep))
+_lifetimes = st.builds(lambda join, box, shock: join(box, shock),
+                       st.sampled_from([lifetime_max, lifetime_min]), _boxes, _shocks)
+
+# the generators' star probe, a level below the margin, one near 1 and the last float below 1
+_EDGE_LEVELS = (STAR_PROBE, 1e-300, 1.0 - 2.0**-30, math.nextafter(1.0, 0.0))
+
+
+@given(st.one_of(composites, _lifetimes), st.lists(st.floats(1e-9, 1.0 - 1e-9), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_continuous_preimages_equal_the_bisection_bit_for_bit(f, extra):
+    levels = {lim(x) for x in f.jump_points() for lim in (f.left_limit, f.right_limit)}
+    levels.update(_EDGE_LEVELS, extra)
+    for u in sorted(v for v in levels if 0.0 < v < 1.0):
+        if not isinstance(f, PiecewiseLinearWithJumps):
+            assert f.smallest_preimage(u).hex() == scan_smallest_preimage(f, u).hex(), u
+        assert f.largest_preimage(u).hex() == scan_largest_preimage(f, u).hex(), u
+
+
+class _CountingFn(DistributionFn):
+    """Delegates to fn and counts its value calls; searches run on the wrapper."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self._limits = fn._limits
+
+    def value(self, x):
+        self.calls += 1
+        return self.fn.value(x)
+
+    def left_limit(self, x):
+        return self.fn.left_limit(x)
+
+    def right_limit(self, x):
+        return self.fn.right_limit(x)
+
+    def jump_points(self):
+        return self.fn.jump_points()
+
+
+def _calls(fn, search, u):
+    fn.calls = 0
+    search(u)
+    return fn.calls
+
+
+@pytest.mark.parametrize("f", [Product(Exponential(0.5), Exponential(1.4)),
+                               SurvivalComplementProduct(Uniform(0.0, 2.0), Exponential(1.0))])
+def test_continuous_preimages_take_at_most_half_the_bisection_evaluations(f):
+    # 47 levels on a grid and three below the margin, where no lower band edge
+    # can be certified
+    levels = [k / 48 for k in range(1, 48)] + [1e-20, 1e-18, 1e-16]
+    fn = _CountingFn(f)
+    ours = theirs = 0
+    for u in levels:
+        for search, reference in ((fn.smallest_preimage, scan_smallest_preimage),
+                                  (fn.largest_preimage, scan_largest_preimage)):
+            n = _calls(fn, search, u)
+            n_ref = _calls(fn, lambda v: reference(fn, v), u)
+            assert n <= n_ref + _SEARCH_STEPS, (u, n, n_ref)
+            ours += n
+            theirs += n_ref
+    assert 2 * ours <= theirs, (ours, theirs)
