@@ -69,6 +69,7 @@ from .imprecise import (
     rmm_bivariate_copula_bounds,
     rmm_envelope,
     rmm_envelope_full_scan,
+    rmm_envelope_full_scan_values,
     rmm_envelope_grid,
     rmm_envelope_values,
 )
@@ -97,7 +98,8 @@ __all__ = [
     "BoundFamily", "PBox", "ShockModel", "build_bounds", "marshall_H_bounds",
     "marshall_bound_copulas", "maxmin_H_bounds", "maxmin_bivariate_mixed_bounds",
     "maxmin_bound_copulas", "rmm_H_bounds", "rmm_bivariate_copula_bounds",
-    "rmm_envelope", "rmm_envelope_full_scan", "rmm_envelope_grid", "rmm_envelope_values",
+    "rmm_envelope", "rmm_envelope_full_scan", "rmm_envelope_full_scan_values",
+    "rmm_envelope_grid", "rmm_envelope_values",
     "DiscreteModelOracle", "check_copula", "check_quasicopula", "monte_carlo_joint",
     "rectangle_volume", "run_suite",
     "__version__",

@@ -195,17 +195,30 @@ class Generator(ABC):
 
 @dataclass(frozen=True)
 class ExtendedMaxGenerator(Generator):
-    """phi (or psi) extended from a max-type lifetime G = F_X * F_Z."""
+    """phi (or psi) extended from a max-type lifetime G = F_X * F_Z.
+
+    ``rows`` maps each jump point x_j of the lifetime to its branch
+    constants ``(F_X(x_j-), F_X(x_j+), F_Z(x_j), u_l, u_u)``, built once; a
+    preimage at a jump reads them instead of asking the distributions again.
+    """
 
     component: DistributionFn
     shock: DistributionFn
     kind: str = PHI
     lifetime: Product = field(init=False, repr=False, compare=False)
+    rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _MAX_KINDS:
             raise ValueError(f"kind must be phi or psi, got {self.kind!r}")
         object.__setattr__(self, "lifetime", lifetime_max(self.component, self.shock))
+        object.__setattr__(self, "rows", {x: self._row(x) for x in self.lifetime.jump_points()})
+
+    def _row(self, x0: float) -> tuple[float, ...]:
+        lo = self.component.left_limit(x0)
+        hi = self.component.right_limit(x0)
+        z = self.shock.value(x0)
+        return lo, hi, z, lo * z, hi * z
 
     def __call__(self, u: float) -> float:
         u = float(u)
@@ -224,11 +237,8 @@ class ExtendedMaxGenerator(Generator):
         return self._value_at(u, self.lifetime.largest_preimage(u))
 
     def _value_at(self, u: float, x0: float) -> float:
-        lo = self.component.left_limit(x0)
-        hi = self.component.right_limit(x0)
-        z = self.shock.value(x0)
-        u_l = lo * z
-        u_u = hi * z
+        row = self.rows.get(x0)
+        lo, hi, z, u_l, u_u = self._row(x0) if row is None else row
         if u_l <= u <= u_u:
             if z == 0.0:
                 raise DegenerateModelError(
@@ -246,27 +256,32 @@ class ExtendedMaxGenerator(Generator):
         return gap
 
     def breakpoints(self) -> tuple[float, ...]:
-        pts = {0.0, 1.0}
-        for xj in self.lifetime.jump_points():
-            z = self.shock.value(xj)
-            pts.add(self.lifetime.left_limit(xj))
-            pts.add(self.lifetime.right_limit(xj))
-            pts.add(self.component.left_limit(xj) * z)
-            pts.add(self.component.right_limit(xj) * z)
-        return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
+        return _breakpoints(self.lifetime, self.rows)
 
 
 @dataclass(frozen=True)
 class ExtendedMinGenerator(Generator):
-    """chi extended from a min-type lifetime G = F_Y + F_Z - F_Y F_Z."""
+    """chi extended from a min-type lifetime G = F_Y + F_Z - F_Y F_Z.
+
+    ``rows`` maps each jump point y_j of the lifetime to ``(F_Y(y_j-),
+    F_Y(y_j+), F_Z(y_j), v_l, v_u)``, as in :class:`ExtendedMaxGenerator`.
+    """
 
     component: DistributionFn
     shock: DistributionFn
     kind: str = field(default=CHI, init=False)
     lifetime: SurvivalComplementProduct = field(init=False, repr=False, compare=False)
+    rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lifetime", lifetime_min(self.component, self.shock))
+        object.__setattr__(self, "rows", {y: self._row(y) for y in self.lifetime.jump_points()})
+
+    def _row(self, y0: float) -> tuple[float, ...]:
+        lo = self.component.left_limit(y0)
+        hi = self.component.right_limit(y0)
+        z = self.shock.value(y0)
+        return lo, hi, z, _survival_join(lo, z), _survival_join(hi, z)
 
     def __call__(self, v: float) -> float:
         v = float(v)
@@ -285,11 +300,8 @@ class ExtendedMinGenerator(Generator):
         return self._value_at(v, self.lifetime.largest_preimage(v))
 
     def _value_at(self, v: float, y0: float) -> float:
-        lo = self.component.left_limit(y0)
-        hi = self.component.right_limit(y0)
-        z = self.shock.value(y0)
-        v_l = _survival_join(lo, z)
-        v_u = _survival_join(hi, z)
+        row = self.rows.get(y0)
+        lo, hi, z, v_l, v_u = self._row(y0) if row is None else row
         if v_l <= v <= v_u:
             if z == 1.0:
                 raise DegenerateModelError(
@@ -306,16 +318,17 @@ class ExtendedMinGenerator(Generator):
         return gap
 
     def breakpoints(self) -> tuple[float, ...]:
-        pts = {0.0, 1.0}
-        for yj in self.lifetime.jump_points():
-            z = self.shock.value(yj)
-            lo = self.component.left_limit(yj)
-            hi = self.component.right_limit(yj)
-            pts.add(self.lifetime.left_limit(yj))
-            pts.add(self.lifetime.right_limit(yj))
-            pts.add(_survival_join(lo, z))
-            pts.add(_survival_join(hi, z))
-        return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
+        return _breakpoints(self.lifetime, self.rows)
+
+
+def _breakpoints(lifetime: DistributionFn, rows: dict[float, tuple[float, ...]]) -> tuple[float, ...]:
+    """0, 1, and at each jump the lifetime's limits and the middle branch's ends."""
+    pts = {0.0, 1.0}
+    for xj in lifetime.jump_points():
+        pts.add(lifetime.left_limit(xj))
+        pts.add(lifetime.right_limit(xj))
+        pts.update(rows[xj][3:])
+    return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
 
 
 def extend_phi(component: DistributionFn, shock: DistributionFn) -> ExtendedMaxGenerator:

@@ -26,6 +26,7 @@ all go through it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +43,7 @@ from .copulas import (
 from .distfn import (
     Convex,
     DistributionFn,
+    Exponential,
     PiecewiseLinearWithJumps,
     Uniform,
     from_spec as dist_from_spec,
@@ -66,6 +68,7 @@ __all__ = [
     "rmm_H_bounds",
     "rmm_envelope",
     "rmm_envelope_full_scan",
+    "rmm_envelope_full_scan_values",
     "rmm_envelope_grid",
     "rmm_envelope_values",
     "maxmin_vertex_scan",
@@ -81,16 +84,31 @@ def _probe_points(*dists: DistributionFn) -> list[float]:
     included, with the midpoints between consecutive points.  Step,
     uniform and piecewise-linear functions are affine between these points,
     so comparing values and one-sided limits there decides their order
-    exactly; for other kinds the points are a sample.
+    exactly.  An exponential cdf is concave, so against an affine piece of
+    slope s > 0 its excess over the piece peaks inside it, at
+    ``ln(rate/s)/rate``; that point is included when it lies inside the
+    piece, and the concave excess elsewhere peaks at the piece's ends.  For
+    other kinds the points are a sample.
     """
     pts: set[float] = set()
+    pieces: list[tuple[float, float, float]] = []  # (start, end, slope) of affine pieces
     for d in dists:
         pts.update(d.jump_points())
         if isinstance(d, PiecewiseLinearWithJumps):
             pts.update(bp[0] for bp in d.breakpoints)
+            pieces.extend((x1, x2, (l2 - r1) / (x2 - x1))
+                          for (x1, _, _, r1), (x2, l2, _, _) in zip(d.breakpoints, d.breakpoints[1:]))
         elif isinstance(d, Uniform):
             pts.update((d.a, d.b))
+            pieces.append((d.a, d.b, 1.0 / (d.b - d.a)))
         pts.update(d.smallest_preimage(k / 20) for k in range(1, 20))
+    for d in dists:
+        if isinstance(d, Exponential):
+            for start, end, slope in pieces:
+                if slope > 0.0:
+                    x = math.log(d.rate / slope) / d.rate
+                    if start < x < end:
+                        pts.add(x)
     pts.add(0.0)
     out = sorted(pts)
     enriched = list(out)
@@ -502,7 +520,7 @@ def rmm_envelope_values(
     of its block (:func:`_cap_candidates`), and the winning tuple is
     evaluated with :func:`rmm_values`.  On a face ``u_l = 0`` every vertex
     gives 0 and the all-upper tuple is used.  Both halves equal
-    :func:`rmm_envelope_full_scan`.  Members of the box with interior
+    :func:`rmm_envelope_full_scan_values`.  Members of the box with interior
     generators are not vertex tuples, and for n >= 3 their copula can
     exceed the vertex maximum, so sup is not a guaranteed upper bound over
     the whole box.
@@ -535,18 +553,37 @@ def rmm_envelope_grid(
     return rmm_envelope_values(bf, _grid_arrays(axes))
 
 
-def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
+def rmm_envelope_full_scan_values(
+    bf: BoundFamily, us: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) of the rmm copula over all 2^n vertex generator tuples.
 
-    Every tuple is evaluated, in one :func:`rmm_values` call; this is the
-    reference the envelope is checked against.
+    ``us`` holds one array per coordinate, as in :func:`rmm_envelope_values`.
+    Every tuple is evaluated: the 2^n tuples lie on a leading axis indexed
+    by the bit mask of the upper coordinates, and each slab of points is one
+    :func:`rmm_values` call.  This is the reference the envelope is checked
+    against.
     """
     _require_family(bf, "rmm", "rmm envelope")
-    us, lo, hi = _tables([[x] for x in u], bf.lower_gen, bf.upper_gen)
-    masks = np.arange(1 << bf.n).reshape(-1, 1)
-    fs = [np.where(masks >> k & 1, h, l) for k, (l, h) in enumerate(zip(lo, hi))]
-    values = rmm_values(us, fs, bf.split)
-    return float(values.min()), float(values.max())
+    us, lo, hi = _tables(us, bf.lower_gen, bf.upper_gen)
+    n, p = bf.n, bf.split
+    shape = np.broadcast_shapes(*(u.shape for u in us))
+    masks = np.arange(1 << n).reshape((-1,) + (1,) * len(shape))
+
+    def scan(us, lo, hi):
+        fs = [np.where(masks >> k & 1, h, l) for k, (l, h) in enumerate(zip(lo, hi))]
+        values = rmm_values(us, fs, p)
+        return values.min(axis=0), values.max(axis=0)
+
+    min_out, max_out = np.empty(shape), np.empty(shape)
+    _by_slabs(scan, (us, lo, hi), (min_out, max_out), 1 << n)
+    return min_out, max_out
+
+
+def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
+    """:func:`rmm_envelope_full_scan_values` at one point, as two floats."""
+    low, high = rmm_envelope_full_scan_values(bf, [[x] for x in u])
+    return float(low[0]), float(high[0])
 
 
 def maxmin_vertex_scan(

@@ -52,7 +52,7 @@ from .imprecise import (
     _maxmin_mixed_vectors,
     build_bounds,
     maxmin_vertex_scan,
-    rmm_envelope_full_scan,
+    rmm_envelope_full_scan_values,
     rmm_envelope_grid,
     rmm_envelope_values,
 )
@@ -605,13 +605,14 @@ def _theorem_checks_marshall(rng, model, idx, points, reports) -> None:
     bf = build_bounds(model)
     z = model.exogenous
     members = _member_models(rng, model)
+    marginals = [member.precise_marginals() for member in members]
 
     _copula_sandwich(reports["copula-sandwich"], label, _unit_points(rng, points, n),
                      bf.lower_gen, bf.upper_gen, members, 1e-12)
 
     for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
-        for member in members:
-            mid = joint_marshall_H(member.precise_marginals(), z, x)
+        for margins in marginals:
+            mid = joint_marshall_H(margins, z, x)
             if not (lo <= mid + 1e-12 and mid <= hi + 1e-12):
                 reports["composed-sandwich"].record(label, x, (lo, hi), mid)
         want_lo = joint_marshall_H([b.lower for b in model.endogenous], z, x)
@@ -647,10 +648,11 @@ def _theorem_checks_maxmin(rng, model, idx, points, reports) -> None:
     bf = build_bounds(model)
     z = model.exogenous
     members = _member_models(rng, model)
+    marginals = [member.precise_marginals() for member in members]
 
     for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
-        for member in members:
-            mid = joint_maxmin_H(member.precise_marginals(), z, x, p)
+        for margins in marginals:
+            mid = joint_maxmin_H(margins, z, x, p)
             if not (lo <= mid + 1e-10 and mid <= hi + 1e-10):
                 reports["composed-sandwich"].record(label, x, (lo, hi), mid)
         want_lo = joint_maxmin_H([b.lower for b in model.endogenous], z, x, p)
@@ -692,6 +694,7 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
     bf = build_bounds(model)
     z = model.exogenous
     members = _member_models(rng, model)
+    marginals = [member.precise_marginals() for member in members]
     lows = [b.lower for b in model.endogenous]
     ups = [b.upper for b in model.endogenous]
 
@@ -748,8 +751,8 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
                     if abs(prod - 1.0) > 1e-10:
                         reports["star-products"].record(label, [i, j, x[i]], 1.0, prod)
 
-        for member in members:
-            mid = joint_rmm_product(member.precise_marginals(), z, x, p)
+        for margins in marginals:
+            mid = joint_rmm_product(margins, z, x, p)
             if not (lo <= mid + 1e-10 and mid <= hi + 1e-10):
                 reports["composed-sandwich"].record(label, x, (lo, hi), mid)
         want_lo = joint_rmm_product(lows[:p] + ups[p:], z, x, p)
@@ -758,9 +761,11 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
             reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
 
     unit = _unit_points(rng, points, n)
-    inf_env, sup_env = rmm_envelope_values(bf, _columns(unit, n))
-    for u, inf_red, sup_red in zip(unit, inf_env.tolist(), sup_env.tolist()):
-        inf_full, sup_full = rmm_envelope_full_scan(bf, u)
+    columns = _columns(unit, n)
+    inf_env, sup_env = rmm_envelope_values(bf, columns)
+    inf_scan, sup_scan = rmm_envelope_full_scan_values(bf, columns)
+    for u, inf_red, sup_red, inf_full, sup_full in zip(
+            unit, inf_env.tolist(), sup_env.tolist(), inf_scan.tolist(), sup_scan.tolist()):
         if abs(inf_red - inf_full) > 1e-12:
             reports["envelope-inf-reduction"].record(label, u, inf_full, inf_red)
         gap = abs(sup_red - sup_full)
@@ -779,10 +784,11 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
 def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instance: int = 1000) -> dict:
     """Order and identity statements for bound families of random p-box models.
 
-    Each instance's copula sandwiches, H bounds and rmm envelope are
-    evaluated once over its stack of points (:meth:`GeneratorVector.values`,
-    :func:`H_bounds_values`, :func:`rmm_envelope_values`) and checked point
-    by point.  Both envelope halves must equal the full vertex scan within
+    Each instance's copula sandwiches, H bounds, rmm envelope and full
+    vertex scan are evaluated once over its stack of points
+    (:meth:`GeneratorVector.values`, :func:`H_bounds_values`,
+    :func:`rmm_envelope_values`, :func:`rmm_envelope_full_scan_values`) and
+    checked point by point.  Both envelope halves must equal the full vertex scan within
     1e-12: the reduced inf scan, and the star-form sup
     (``rmm-envelope-sup-bounded``, whose ``max_sup_gap`` diagnostic records
     the largest absolute gap).

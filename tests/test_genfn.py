@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockcopula.distfn import DiracStep, Discrete, Exponential, Uniform, lifetime_max, lifetime_min
+import generator_reference
+from shockcopula.distfn import (
+    DiracStep,
+    Discrete,
+    Exponential,
+    PiecewiseLinearWithJumps,
+    Uniform,
+    lifetime_max,
+    lifetime_min,
+)
 from shockcopula.genfn import (
     DegenerateModelError,
     Generator,
@@ -384,3 +393,65 @@ def test_defining_relations_on_random_discrete_models(comp, shock):
         lo = gmin.value(x)
         if lo < 1.0:
             assert abs(chi(lo) - comp.value(x)) < 1e-12, f"chi(G({x}))"
+
+
+# -- per-jump rows against the reference extension -------------------------------
+
+_LATTICE = [k * 0.5 for k in range(-2, 13)]
+_levels = st.one_of(st.sampled_from([k / 8 for k in range(9)]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _pwl_with_jumps(draw):
+    xs = sorted(draw(st.sets(st.sampled_from(_LATTICE), min_size=1, max_size=4)))
+    inner = sorted(draw(st.lists(_levels, min_size=3 * len(xs) - 2, max_size=3 * len(xs) - 2)))
+    vals = [0.0, *inner, 1.0]
+    return PiecewiseLinearWithJumps([(x, *vals[3 * i:3 * i + 3]) for i, x in enumerate(xs)])
+
+
+_components = st.one_of(discrete_dists, _pwl_with_jumps(),
+                        st.sampled_from([0.5, 1.0, 2.0]).map(Exponential))
+# a pwl shock's point value may lie strictly between its limits
+_jump_shocks = st.one_of(st.sampled_from(_LATTICE).map(DiracStep), discrete_dists,
+                         _pwl_with_jumps(), st.sampled_from([0.5, 1.0]).map(Exponential))
+
+
+def _outcome(call, *args):
+    """The float's hex, or the DegenerateModelError text."""
+    try:
+        return call(*args).hex()
+    except DegenerateModelError as exc:
+        return f"DegenerateModelError: {exc}"
+
+
+@given(_components, _jump_shocks, st.lists(st.floats(0.0, 1.0), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_jump_rows_give_the_reference_extension_bit_for_bit(component, shock, extra):
+    for make in (extend_phi, extend_chi):
+        gen = make(component, shock)
+        lifetime = gen.lifetime
+        jumps = lifetime.jump_points()
+        assert set(gen.rows) == set(jumps)
+        # the lifetime's limits and both branch edges at every jump, their
+        # neighbouring floats, the two endpoints and random levels
+        levels = {0.0, 1.0, *extra}
+        for x in jumps:
+            lo, hi = component.left_limit(x), component.right_limit(x)
+            z = shock.value(x)
+            edges = ((generator_reference.survival_join(lo, z), generator_reference.survival_join(hi, z))
+                     if gen.kind == "chi" else (lo * z, hi * z))
+            for level in (lifetime.left_limit(x), lifetime.right_limit(x), *edges):
+                levels.update((level, math.nextafter(level, -1.0), math.nextafter(level, 2.0)))
+        levels = sorted(v for v in levels if 0.0 <= v <= 1.0)
+        for u in levels:
+            assert gen(u).hex() == generator_reference.value(gen, u).hex(), (gen.kind, u)
+            assert (gen.value_with_largest_x0(u).hex()
+                    == generator_reference.value(gen, u, largest=True).hex()), (gen.kind, u)
+        # at every jump (a row) and off the jumps (computed), every branch,
+        # including the degenerate one at the endpoint levels
+        points = list(jumps) + [x + 0.25 for x in jumps] + [-1.0, 0.1]
+        for x in points:
+            for u in levels:
+                assert (_outcome(gen._value_at, u, x)
+                        == _outcome(generator_reference.value_at, gen, u, x)), (gen.kind, u, x)
+        assert gen.breakpoints() == generator_reference.breakpoints(gen)

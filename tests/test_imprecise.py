@@ -27,6 +27,7 @@ from shockcopula.imprecise import (
     rmm_bivariate_copula_bounds,
     rmm_envelope,
     rmm_envelope_full_scan,
+    rmm_envelope_full_scan_values,
     rmm_envelope_grid,
     rmm_envelope_values,
     rmm_H_bounds,
@@ -77,11 +78,23 @@ def test_pbox_rejects_misordered_bounds():
             PiecewiseLinearWithJumps([(0, 0, 0, 0), (1, 0.5, 0.5, 0.5), (2, 1, 1, 1)]),
             PiecewiseLinearWithJumps([(0, 0, 0, 0.3), (1, 0.49, 0.6, 0.6), (2, 1, 1, 1)]),
         ),
+        # the concave exponential cdf rises above the line x/2 near 0, by
+        # 1.24e-5 at x = ln(1.005)/0.5025 = 0.0099, and meets it again at
+        # x = 0.0199, below every quantile probe and midpoint (0.05, 0.1, ...)
+        (Exponential(0.5025), Uniform(0.0, 2.0)),
+        (Exponential(0.5025), PiecewiseLinearWithJumps([(0, 0, 0, 0), (2, 1, 1, 1)])),
     ],
 )
 def test_pbox_rejects_bounds_that_cross_between_sampled_points(lower, upper):
     with pytest.raises(ValueError):
         PBox(lower, upper)
+
+
+def test_pbox_accepts_an_exponential_below_its_tangent_line():
+    # slope 0.5 at 0 equals the line's, so the concave cdf stays below it
+    box = PBox(Exponential(0.5), Uniform(0.0, 2.0))
+    assert box.lower.value(0.01) <= box.upper.value(0.01)
+    PBox(Exponential(0.5), PiecewiseLinearWithJumps([(0, 0, 0, 0), (2, 1, 1, 1)]))
 
 
 def test_pbox_members_interpolate_between_the_bounds():
@@ -472,16 +485,44 @@ def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
         assert np.array_equal(bits(inf), bits(want[:, 0])) and np.array_equal(bits(sup), bits(want[:, 1]))
         with mock.patch.object(copulas, "_SLAB_POINTS", 2):
             assert np.array_equal(bits(rmm_envelope_values(bf, np.array(points).T)), bits(want.T))
-        for u, w in zip(points, want):
+        full = np.array([envelope_reference.full_scan(bf, u) for u in points])
+        assert np.array_equal(bits(rmm_envelope_full_scan_values(bf, np.array(points).T)), bits(full.T))
+        with mock.patch.object(copulas, "_SLAB_POINTS", 2):
+            assert np.array_equal(bits(rmm_envelope_full_scan_values(bf, np.array(points).T)),
+                                  bits(full.T))
+        for u, w, f in zip(points, want, full):
             assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
-            full = envelope_reference.full_scan(bf, u)
-            assert np.array_equal(bits(rmm_envelope_full_scan(bf, u)), bits(full)), (p, u)
+            assert np.array_equal(bits(rmm_envelope_full_scan(bf, u)), bits(f)), (p, u)
         # a grid through the points' coordinates
         axes = [np.array(sorted({u[k] for u in points})[:3 if n <= 4 else 2]) for k in range(n)]
         inf, sup = rmm_envelope_grid(bf, axes)
         for idx in np.ndindex(*inf.shape):
             w = envelope_reference.envelope(bf, [float(axes[k][i]) for k, i in enumerate(idx)])
             assert np.array_equal(bits([inf[idx], sup[idx]]), bits(w)), (p, idx)
+
+
+@pytest.mark.parametrize("n", [7, 12])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["continuous", "discrete"]))
+@settings(max_examples=6, deadline=None)
+def test_rmm_pair_loop_and_pair_stack_equal_the_scalar_reference_bit_for_bit(n, data, seed, kind):
+    # rmm_values loops over the pairs or stacks them depending on the call's
+    # size; each setting below must return the reference's floats
+    rng = philox_stream(seed, 7)
+    choices = [{"_STACKED_PAIRS": copulas._STACKED_PAIRS}, {"_STACKED_PAIRS": 10**9},
+               {"_STACKED_PAIRS": 1, "_STACKED_ENTRIES": 10**9}]
+    for p in range(1, n):
+        bf = build_bounds(drawn_model(rng, kind, n, p))
+        points = data.draw(unit_stacks(n)) + rng.uniform(0.0, 1.0, (20, n)).tolist()
+        want = np.array([envelope_reference.rmm_from_values(u, envelope_reference.vertex_values(bf, u)[0], p)
+                         for u in points])
+        envelopes = np.array([envelope_reference.envelope(bf, u) for u in points[:2]])
+        for choice in choices:
+            with mock.patch.multiple(copulas, **choice):
+                assert np.array_equal(bits(bf.lower_gen.values(np.array(points).T)), bits(want)), p
+                assert np.array_equal(bits([bf.lower_gen(u) for u in points[:2]]), bits(want[:2])), p
+                for u, w in zip(points, envelopes):
+                    assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
 
 
 def reference_values(gv, points):
