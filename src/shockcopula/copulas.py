@@ -432,7 +432,10 @@ def joint_maxmin_H(
     sum over K subsets of the min block of
         prod_{i in T u (S\\K)} F_i(x_i)
         * max{0, F_Z(min over T u K of x) - F_Z(max over S\\K of x)}
-    with the F_Z term over an empty S\\K read as 0.
+    with the F_Z term over an empty S\\K read as 0.  Both F_Z arguments are
+    min_T x or some x_j of the min block (the max also 0 where every x_j of
+    S\\K is negative), so the shock is evaluated once per distinct argument:
+    at most n - p + 1 times for x >= 0.
     """
     n = len(components)
     if len(x) != n:
@@ -445,6 +448,13 @@ def joint_maxmin_H(
     min_t = min(x[:p])
     m = n - p
     fs = [components[p + b].value(x[p + b]) for b in range(m)]
+    fz: dict[float, float] = {}
+
+    def shock_value(t: float) -> float:
+        if t not in fz:
+            fz[t] = shock.value(t)
+        return fz[t]
+
     total = 0.0
     for mask in range(1 << m):
         lo_arg = min_t
@@ -461,8 +471,8 @@ def joint_maxmin_H(
                 weight *= fs[b]
                 if xj > hi_fz:
                     hi_fz = xj
-        fz_lo = 0.0 if empty_rest else shock.value(hi_fz)
-        fz_hi = shock.value(lo_arg)
+        fz_lo = 0.0 if empty_rest else shock_value(hi_fz)
+        fz_hi = shock_value(lo_arg)
         if fz_hi > fz_lo:
             total += weight * (fz_hi - fz_lo)
     return total

@@ -192,6 +192,33 @@ class Generator(ABC):
 # canonical extensions from shock models
 # ---------------------------------------------------------------------------
 
+# the last-call slot of an extended generator before its first search; nan
+# equals no argument
+_NO_CALL = (math.nan, math.nan)
+
+
+def _remembered_call(gen, u: float) -> float:
+    """gen(u) of an extended generator: 0 and 1 at the ends, else the value
+    at the smallest preimage.  Both extended classes use it as ``__call__``.
+
+    The generator keeps its last searched argument and value in one tuple,
+    replaced whole, so calling it again at the same float skips the search.
+    An error is raised again at every call; nan never matches.
+    """
+    u = float(u)
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    last_u, last_value = gen._last
+    if u == last_u:
+        return last_value
+    value = gen._value_at(u, gen.lifetime.smallest_preimage(u))
+    # one store into the frozen instance's dict, as functools.cached_property
+    # writes; object.__setattr__ costs about three times as much per call
+    gen.__dict__["_last"] = (u, value)
+    return value
+
 
 @dataclass(frozen=True)
 class ExtendedMaxGenerator(Generator):
@@ -200,6 +227,8 @@ class ExtendedMaxGenerator(Generator):
     ``rows`` maps each jump point x_j of the lifetime to its branch
     constants ``(F_X(x_j-), F_X(x_j+), F_Z(x_j), u_l, u_u)``, built once; a
     preimage at a jump reads them instead of asking the distributions again.
+    A call at the argument of the previous call returns the value found then
+    (:func:`_remembered_call`); :meth:`value_with_largest_x0` always searches.
     """
 
     component: DistributionFn
@@ -207,6 +236,7 @@ class ExtendedMaxGenerator(Generator):
     kind: str = PHI
     lifetime: Product = field(init=False, repr=False, compare=False)
     rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
+    _last: tuple[float, float] = field(default=_NO_CALL, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _MAX_KINDS:
@@ -220,13 +250,7 @@ class ExtendedMaxGenerator(Generator):
         z = self.shock.value(x0)
         return lo, hi, z, lo * z, hi * z
 
-    def __call__(self, u: float) -> float:
-        u = float(u)
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return 1.0
-        return self._value_at(u, self.lifetime.smallest_preimage(u))
+    __call__ = _remembered_call
 
     def value_with_largest_x0(self, u: float) -> float:
         u = float(u)
@@ -264,7 +288,8 @@ class ExtendedMinGenerator(Generator):
     """chi extended from a min-type lifetime G = F_Y + F_Z - F_Y F_Z.
 
     ``rows`` maps each jump point y_j of the lifetime to ``(F_Y(y_j-),
-    F_Y(y_j+), F_Z(y_j), v_l, v_u)``, as in :class:`ExtendedMaxGenerator`.
+    F_Y(y_j+), F_Z(y_j), v_l, v_u)``, and remembers its last call, as
+    :class:`ExtendedMaxGenerator` does.
     """
 
     component: DistributionFn
@@ -272,6 +297,7 @@ class ExtendedMinGenerator(Generator):
     kind: str = field(default=CHI, init=False)
     lifetime: SurvivalComplementProduct = field(init=False, repr=False, compare=False)
     rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
+    _last: tuple[float, float] = field(default=_NO_CALL, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lifetime", lifetime_min(self.component, self.shock))
@@ -283,13 +309,7 @@ class ExtendedMinGenerator(Generator):
         z = self.shock.value(y0)
         return lo, hi, z, _survival_join(lo, z), _survival_join(hi, z)
 
-    def __call__(self, v: float) -> float:
-        v = float(v)
-        if v <= 0.0:
-            return 0.0
-        if v >= 1.0:
-            return 1.0
-        return self._value_at(v, self.lifetime.smallest_preimage(v))
+    __call__ = _remembered_call
 
     def value_with_largest_x0(self, v: float) -> float:
         v = float(v)

@@ -37,6 +37,7 @@ from .copulas import (
     GeneratorVector,
     _by_slabs,
     _grid_arrays,
+    _pair_layout,
     _tables,
     rmm_values,
 )
@@ -467,9 +468,8 @@ def _envelope_slab(
     lead = (-1,) + (1,) * len(shape)
 
     # inf: the tuples upper in exactly one (max-type, min-type) pair
-    pairs = [(i, j) for i in range(p) for j in range(p, n)]
-    fs = [np.where(np.array([k in pair for pair in pairs]).reshape(lead), hi[k], lo[k])
-          for k in range(n)]
+    own = _pair_layout(n, p)[1]
+    fs = [np.where(own[k].reshape(lead), hi[k], lo[k]) for k in range(n)]
     inf = rmm_values(us, fs, p).min(axis=0)
 
     # sup: the first (T-cap, S-cap) pair, T-caps outermost, that maximises
@@ -528,12 +528,21 @@ def rmm_envelope_values(
     The points are processed in slabs, as by :meth:`GeneratorVector.values`,
     to keep the stacked temporaries small.
     """
+    return _envelope_of_tables(_vertex_tables(bf, us), bf.split)
+
+
+def _vertex_tables(bf: BoundFamily, us: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
+    """The coordinate arrays and the lower and upper rmm generators at every
+    entry, as :func:`copulas._tables` gives them."""
     _require_family(bf, "rmm", "rmm envelope")
-    us, lo, hi = _tables(us, bf.lower_gen, bf.upper_gen)
-    p = bf.split
-    shape = np.broadcast_shapes(*(u.shape for u in us))
+    return _tables(us, bf.lower_gen, bf.upper_gen)
+
+
+def _envelope_of_tables(tables: list[list[np.ndarray]], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rmm_envelope_values` from the :func:`_vertex_tables` of its points."""
+    shape = np.broadcast_shapes(*(u.shape for u in tables[0]))
     inf_out, sup_out = np.empty(shape), np.empty(shape)
-    _by_slabs(lambda *part: _envelope_slab(*part, p), (us, lo, hi), (inf_out, sup_out))
+    _by_slabs(lambda *part: _envelope_slab(*part, p), tables, (inf_out, sup_out))
     return inf_out, sup_out
 
 
@@ -564,10 +573,13 @@ def rmm_envelope_full_scan_values(
     :func:`rmm_values` call.  This is the reference the envelope is checked
     against.
     """
-    _require_family(bf, "rmm", "rmm envelope")
-    us, lo, hi = _tables(us, bf.lower_gen, bf.upper_gen)
-    n, p = bf.n, bf.split
-    shape = np.broadcast_shapes(*(u.shape for u in us))
+    return _full_scan_of_tables(_vertex_tables(bf, us), bf.split)
+
+
+def _full_scan_of_tables(tables: list[list[np.ndarray]], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rmm_envelope_full_scan_values` from the :func:`_vertex_tables` of its points."""
+    n = len(tables[0])
+    shape = np.broadcast_shapes(*(u.shape for u in tables[0]))
     masks = np.arange(1 << n).reshape((-1,) + (1,) * len(shape))
 
     def scan(us, lo, hi):
@@ -576,7 +588,7 @@ def rmm_envelope_full_scan_values(
         return values.min(axis=0), values.max(axis=0)
 
     min_out, max_out = np.empty(shape), np.empty(shape)
-    _by_slabs(scan, (us, lo, hi), (min_out, max_out), 1 << n)
+    _by_slabs(scan, tables, (min_out, max_out), 1 << n)
     return min_out, max_out
 
 

@@ -49,12 +49,13 @@ from .imprecise import (
     PBox,
     ShockModel,
     H_bounds_values,
+    _envelope_of_tables,
+    _full_scan_of_tables,
     _maxmin_mixed_vectors,
+    _vertex_tables,
     build_bounds,
     maxmin_vertex_scan,
-    rmm_envelope_full_scan_values,
     rmm_envelope_grid,
-    rmm_envelope_values,
 )
 
 __all__ = [
@@ -762,8 +763,10 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
 
     unit = _unit_points(rng, points, n)
     columns = _columns(unit, n)
-    inf_env, sup_env = rmm_envelope_values(bf, columns)
-    inf_scan, sup_scan = rmm_envelope_full_scan_values(bf, columns)
+    # one table of the 2n bound generators serves the envelope and the full scan
+    tables = _vertex_tables(bf, columns)
+    inf_env, sup_env = _envelope_of_tables(tables, p)
+    inf_scan, sup_scan = _full_scan_of_tables(tables, p)
     for u, inf_red, sup_red, inf_full, sup_full in zip(
             unit, inf_env.tolist(), sup_env.tolist(), inf_scan.tolist(), sup_scan.tolist()):
         if abs(inf_red - inf_full) > 1e-12:
@@ -787,8 +790,9 @@ def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instanc
     Each instance's copula sandwiches, H bounds, rmm envelope and full
     vertex scan are evaluated once over its stack of points
     (:meth:`GeneratorVector.values`, :func:`H_bounds_values`,
-    :func:`rmm_envelope_values`, :func:`rmm_envelope_full_scan_values`) and
-    checked point by point.  Both envelope halves must equal the full vertex scan within
+    :func:`rmm_envelope_values`, :func:`rmm_envelope_full_scan_values`, the
+    last two from one table of the bound generators) and checked point by
+    point.  Both envelope halves must equal the full vertex scan within
     1e-12: the reduced inf scan, and the star-form sup
     (``rmm-envelope-sup-bounded``, whose ``max_sup_gap`` diagnostic records
     the largest absolute gap).

@@ -2,7 +2,8 @@
 
 These are the one-point copula formulas and the dense grid evaluator the
 package ran before one array kernel per family served points, point
-stacks and grids.  The tests require the kernels to return the same floats.
+stacks and grids, and the maxmin joint law as it evaluated the shock twice
+per subset.  The tests require the package to return the same floats.
 """
 
 import math
@@ -121,3 +122,34 @@ def copula_grid(gv, axes):
     for i in range(1, p):
         prefactor = prefactor * F[i]
     return prefactor * total
+
+
+def joint_maxmin_H(components, shock, x, p):
+    """The maxmin joint law, asking the shock for both of its terms at every
+    subset of the min-type block."""
+    n = len(components)
+    ft = math.prod(components[i].value(x[i]) for i in range(p))
+    min_t = min(x[:p])
+    m = n - p
+    fs = [components[p + b].value(x[p + b]) for b in range(m)]
+    total = 0.0
+    for mask in range(1 << m):
+        lo_arg = min_t
+        hi_fz = 0.0
+        weight = ft
+        empty_rest = True
+        for b in range(m):
+            xj = x[p + b]
+            if mask >> b & 1:
+                if xj < lo_arg:
+                    lo_arg = xj
+            else:
+                empty_rest = False
+                weight *= fs[b]
+                if xj > hi_fz:
+                    hi_fz = xj
+        fz_lo = 0.0 if empty_rest else shock.value(hi_fz)
+        fz_hi = shock.value(lo_arg)
+        if fz_hi > fz_lo:
+            total += weight * (fz_hi - fz_lo)
+    return total

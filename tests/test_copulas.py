@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_reference
 from shockcopula.copulas import (
     MAX_DIMENSION,
     GeneratorVector,
@@ -334,6 +335,36 @@ def test_joint_maxmin_matches_enumeration():
                 and all(min(xs[j], z) <= x[j] for j in range(p, 3)),
             )
             assert abs(joint_maxmin_H(comps, SHOCK, x, p) - want) < 1e-12, (p, x)
+
+
+class _CountingShock:
+    """Delegates ``value`` to a distribution and records every argument."""
+
+    def __init__(self, dist):
+        self.dist = dist
+        self.args = []
+
+    def value(self, x):
+        self.args.append(x)
+        return self.dist.value(x)
+
+
+@given(st.integers(2, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_joint_maxmin_asks_the_shock_once_per_distinct_argument(n, data):
+    p = data.draw(st.integers(1, n - 1))
+    comps = data.draw(st.lists(st.sampled_from((X1, X2, X3, SHOCK)), min_size=n, max_size=n))
+    shock = data.draw(st.sampled_from((SHOCK, X3, Exponential(0.7), DiracStep(2.0))))
+    coordinate = st.one_of(st.sampled_from(LATTICE + (0.0,)), st.floats(-1.0, 8.0))
+    x = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+    counted = _CountingShock(shock)
+    got = joint_maxmin_H(comps, counted, x, p)
+    assert got.hex() == kernel_reference.joint_maxmin_H(comps, shock, x, p).hex()
+    assert len(set(counted.args)) == len(counted.args)
+    # 0.0 joins min_T x and the min-type x_j only where some x_j is negative
+    assert len(counted.args) <= n - p + 1 + any(xj < 0.0 for xj in x[p:])
+    if min(x) >= 0.0:
+        assert len(counted.args) <= n - p + 1
 
 
 def test_joint_rmm_product_matches_enumeration():

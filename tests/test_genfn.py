@@ -1,6 +1,8 @@
 """Generator transforms: canonical extensions, stars, daggers, validation."""
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -455,3 +457,75 @@ def test_jump_rows_give_the_reference_extension_bit_for_bit(component, shock, ex
                 assert (_outcome(gen._value_at, u, x)
                         == _outcome(generator_reference.value_at, gen, u, x)), (gen.kind, u, x)
         assert gen.breakpoints() == generator_reference.breakpoints(gen)
+
+
+# -- the last-call memo against fresh generators ---------------------------------
+
+_OPERATIONS = ("call", "value_with_largest_x0", "star", "substar", "dagger", "rmm")
+
+
+def _hex_or_error(call, *args):
+    """The float's hex, or the error's type and text."""
+    try:
+        return call(*args).hex()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _answer(gen, operation, u):
+    call = gen if operation == "call" else to_rmm(gen) if operation == "rmm" else getattr(gen, operation)
+    return _hex_or_error(call, u)
+
+
+@given(_components, _jump_shocks, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_remembered_calls_answer_as_fresh_generators_bit_for_bit(component, shock, extra, data):
+    for make in (extend_phi, extend_psi, extend_chi):
+        gen = make(component, shock)
+        a, b = extra[:2]
+        levels = [*extra, 0.0, -0.0, 1.0]
+        levels += [gen.lifetime.right_limit(x) for x in gen.lifetime.jump_points()[:2]]
+        # a repeat, alternation, the transforms after a call at their point,
+        # the ends, then drawn sequences
+        steps = [("call", a), ("call", a), ("call", b), ("call", a), ("call", b), ("call", b),
+                 ("star", b), ("call", a), ("substar", a), ("call", a), ("dagger", a),
+                 ("rmm", a), ("rmm", 1.0 - a), ("value_with_largest_x0", a), ("call", a),
+                 ("call", 0.0), ("call", a), ("call", -0.0), ("call", 1.0), ("call", a)]
+        steps += data.draw(st.lists(st.tuples(st.sampled_from(_OPERATIONS), st.sampled_from(levels)),
+                                    max_size=12))
+        for operation, u in steps:
+            want = _answer(make(component, shock), operation, u)
+            assert _answer(gen, operation, u) == want, (gen.kind, operation, u)
+            if operation == "call":
+                assert want == _hex_or_error(generator_reference.value, gen, u), (gen.kind, u)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gen(math.nan)
+        assert gen(a).hex() == make(component, shock)(a).hex()
+
+
+def test_threads_sharing_a_generator_read_whole_memos():
+    # continuous lifetime, so every argument that misses the memo searches
+    gen = extend_chi(Exponential(1.0), Exponential(2.0))
+    args = [0.2, 0.5, 0.8]
+    want = {u: extend_chi(Exponential(1.0), Exponential(2.0))(u).hex() for u in args}
+    wrong = []
+
+    def work(offset):
+        for r in range(1000):
+            u = args[(r + offset) % len(args)]
+            if gen(u).hex() != want[u]:
+                wrong.append(u)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong

@@ -14,7 +14,14 @@ import envelope_reference
 import kernel_reference
 from shockcopula import copulas, imprecise
 from shockcopula.copulas import joint_marshall_H, joint_maxmin_H, joint_rmm_product, rmm_n
-from shockcopula.distfn import DiracStep, Discrete, Exponential, PiecewiseLinearWithJumps, Uniform
+from shockcopula.distfn import (
+    DiracStep,
+    Discrete,
+    DistributionFn,
+    Exponential,
+    PiecewiseLinearWithJumps,
+    Uniform,
+)
 from shockcopula.imprecise import (
     BoundFamily,
     PBox,
@@ -406,6 +413,25 @@ def test_envelope_sup_is_the_exact_vertex_maximum_on_continuous_boxes():
                 assert abs(inf - inf_full) <= 1e-12, (n, p, u, inf, inf_full)
                 if 0.0 in u:
                     assert sup == inf == 0.0, (n, p, u)
+
+
+def test_a_point_query_searches_each_rmm_bound_generator_once(monkeypatch):
+    rng = philox_stream(4242, 3)
+    n = 6
+    model = ShockModel("rmm", tuple(continuous_box(rng) for _ in range(n)), Exponential(1.0), 3)
+    bf = build_bounds(model)
+    u = [0.9, 0.8, 0.85, 0.7, 0.95, 0.75]
+    searched = []
+    search = DistributionFn.smallest_preimage
+    monkeypatch.setattr(DistributionFn, "smallest_preimage",
+                        lambda self, t: searched.append(t) or search(self, t))
+    answers = (bf.lower_gen(u), bf.upper_gen(u), *rmm_envelope(bf, u))
+    # the envelope finds each generator's last argument at the same float
+    assert len(searched) == 2 * n
+    monkeypatch.undo()
+    fresh = build_bounds(model)
+    assert rmm_envelope(fresh, u) == answers[2:]
+    assert (fresh.lower_gen(u), fresh.upper_gen(u)) == answers[:2]
 
 
 def test_envelope_sup_reaches_the_recorded_mixed_vertex_witness():
