@@ -8,8 +8,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -28,7 +26,8 @@ from .verify import SUITE_NAMES, copula_grid, run_suite
 BOUND_CHOICES = ("lower", "upper", "precise", "envelope_inf", "envelope_sup")
 DEFAULT_SEED = 20250819
 _MAX_GRID_ROWS = 2_000_000
-# rows per write in write_surface_csv; larger blocks raise peak memory
+# rows per write in write_surface_csv, rounded to whole runs of the last axis;
+# larger blocks raise peak memory
 _WRITE_BLOCK_ROWS = 2048
 
 
@@ -39,20 +38,40 @@ def _fmt(value: float) -> str:
 def write_surface_csv(stream, axes: list[np.ndarray], values: np.ndarray) -> int:
     """Rows in row-major order; floats as shortest round-trip decimals.
 
-    Each axis value is formatted once; the value column is formatted and
-    the rows are written one block of ``_WRITE_BLOCK_ROWS`` at a time.
+    Each axis value is formatted once.  Each run of the last axis is one
+    ``%r`` template, its n - 1 leading labels fixed, filled by one ``%``
+    call; the runs are written in blocks of about ``_WRITE_BLOCK_ROWS`` rows.
     """
-    n = len(axes)
-    stream.write(",".join([f"u{k + 1}" for k in range(n)] + ["value"]) + "\n")
-    labels = [[_fmt(x) + "," for x in axis] for axis in axes]
-    heads = itertools.product(*labels)
+    rows = math.prod(len(axis) for axis in axes)
+    if values.size != rows:
+        raise ValueError(f"values has {values.size} entries but the axes span "
+                         f"{rows} grid points")
+    stream.write(",".join([f"u{k + 1}" for k in range(len(axes))] + ["value"]) + "\n")
+    if rows == 0:
+        return 0
+    # with no axes the one row holds the value alone
+    labels = [[_fmt(x) + "," for x in axis] for axis in axes] or [[""]]
+    run = len(labels[-1])
+    # labels are float reprs, which never contain '%', so each template's only
+    # conversions are its run's %r fields; prefixes are made lazily, one a run
+    prefixes = map("".join, itertools.product(*labels[:-1]))
     flat = values.ravel()
-    for s in range(0, flat.size, _WRITE_BLOCK_ROWS):
-        cells = map(repr, flat[s:s + _WRITE_BLOCK_ROWS].tolist())
-        # cells first: zip stops on them without drawing one head too many
-        stream.write("".join(["".join(head) + cell + "\n"
-                              for cell, head in zip(cells, heads)]))
-    return flat.size
+    step = max(1, _WRITE_BLOCK_ROWS // run) * run
+    for s in range(0, rows, step):
+        block = flat[s:s + step].tolist()
+        # the range first: zip stops on it without drawing one prefix too many
+        stream.write("".join([
+            (prefix + ("%r\n" + prefix).join(labels[-1]) + "%r\n")
+            % tuple(block[r:r + run])
+            for r, prefix in zip(range(0, len(block), run), prefixes)]))
+    return rows
+
+
+def _write_columns(stream, header: str, rows) -> None:
+    """Header, then one ``%r`` row per entry of ``rows``."""
+    template = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
+    stream.write(header + "\n")
+    stream.write("".join([template % tuple(map(float, row)) for row in rows]))
 
 
 @click.group()
@@ -109,9 +128,9 @@ def surface(config: str, family: str | None, grid: int, bound: str, out: str | N
         values = rmm_envelope_grid(bf, axes)[bound == "envelope_sup"]
 
     if out is None:
-        buf = io.StringIO()
-        write_surface_csv(buf, axes, values)
-        click.echo(buf.getvalue(), nl=False)
+        stdout = click.get_text_stream("stdout")
+        write_surface_csv(stdout, axes, values)
+        stdout.flush()
     else:
         with open(out, "w", newline="") as fh:
             rows = write_surface_csv(fh, axes, values)
@@ -124,7 +143,7 @@ def _rmm_generator_form(threshold: float, u: float) -> float:
 
 
 def _example_identities(errors: list[dict]) -> dict:
-    """Check the exponential reference model; returns the fixture payloads."""
+    """Check the exponential reference model; returns a writer per fixture file."""
     a = 1.0 - math.exp(-1.0)   # P(shock beats an exponential by time 1)
     b = math.exp(-1.0)
 
@@ -166,12 +185,15 @@ def _example_identities(errors: list[dict]) -> dict:
                             (1.0 if y >= 1.0 else fy.value(float(y))))) for y in xs])
 
     grid = np.linspace(0.0, 1.0, 101)
+    precise_vals = np.empty((grid.size, grid.size))
     piecewise = []
-    for u in grid:
-        for w in grid:
+    for i, u in enumerate(grid):
+        for j, w in enumerate(grid):
             u_, w_ = float(u), float(w)
             want = u_ * w_ if (u_ >= a or w_ >= b) else max(0.0, b * u_ + a * w_ - a * b)
-            piecewise.append(([u_, w_], abs(rmm2(f, g, u_, w_) - want)))
+            value = rmm2(f, g, u_, w_)
+            precise_vals[i, j] = value
+            piecewise.append(([u_, w_], abs(value - want)))
     check("copula-three-case-form", 1e-12, piecewise)
 
     # joint tail product: positive only above the diagonal, and the reflection
@@ -236,26 +258,24 @@ def _example_identities(errors: list[dict]) -> dict:
                                    abs(float(env_hi[i, j]) - rmm2(f_lo, g_lo, u_, w_)))))
     check("bivariate-envelope-is-bound-pair", 1e-12, env_checks)
 
+    def columns(header: str, rows):
+        return lambda fh: _write_columns(fh, header, rows)
+
+    def surface(values: np.ndarray):
+        return lambda fh: write_surface_csv(fh, [grid, grid], values)
+
     return {
-        "distributions.csv": ("x,F_X,F_Y,F_Z,F_U,F_W",
-                              [[float(x), fx.value(float(x)), fy.value(float(x)),
-                                fz.value(float(x)), fu.value(float(x)),
-                                fw.value(float(x))] for x in xs]),
-        "generators.csv": ("u,phi,chi,f,g",
-                           [[float(u), phi(float(u)), chi(float(u)), f(float(u)),
-                             g(float(u))] for u in us]),
-        "copula_precise.csv": ("u1,u2,value",
-                               [[float(u), float(w), rmm2(f, g, float(u), float(w))]
-                                for u in grid for w in grid]),
-        "bound_generators.csv": ("u,f_lower,f_upper,g_lower,g_upper",
-                                 [[float(u), f_lo(float(u)), f_hi(float(u)),
-                                   g_lo(float(u)), g_hi(float(u))] for u in us]),
-        "figure1_lower.csv": ("u1,u2,value",
-                              [[float(grid[i]), float(grid[j]), float(lower_vals[i, j])]
-                               for i in range(grid.size) for j in range(grid.size)]),
-        "figure1_upper.csv": ("u1,u2,value",
-                              [[float(grid[i]), float(grid[j]), float(upper_vals[i, j])]
-                               for i in range(grid.size) for j in range(grid.size)]),
+        "distributions.csv": columns("x,F_X,F_Y,F_Z,F_U,F_W",
+                                     [[x, fx.value(x), fy.value(x), fz.value(x),
+                                       fu.value(x), fw.value(x)] for x in xs.tolist()]),
+        "generators.csv": columns("u,phi,chi,f,g",
+                                  [[u, phi(u), chi(u), f(u), g(u)] for u in us.tolist()]),
+        "copula_precise.csv": surface(precise_vals),
+        "bound_generators.csv": columns("u,f_lower,f_upper,g_lower,g_upper",
+                                        [[u, f_lo(u), f_hi(u), g_lo(u), g_hi(u)]
+                                         for u in us.tolist()]),
+        "figure1_lower.csv": surface(lower_vals),
+        "figure1_upper.csv": surface(upper_vals),
     }
 
 
@@ -274,12 +294,9 @@ def example(out: str) -> None:
         sys.exit(1)
     directory = Path(out)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in fixtures.items():
+    for name, write in fixtures.items():
         with open(directory / name, "w", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            write(fh)
     click.echo(f"all identities hold; wrote {len(fixtures)} fixtures to {directory}")
 
 

@@ -2,10 +2,13 @@
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockcopula import cli
 from shockcopula.cli import main, write_surface_csv
@@ -170,6 +173,50 @@ def test_block_writer_matches_the_csv_writer_reference(monkeypatch, block):
         rows = write_surface_csv(got, axes, values)
         assert rows == reference_surface_csv(want, axes, values) == values.size
         assert got.getvalue() == want.getvalue()
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e22, float("nan"), float("inf"), float("-inf"))
+surface_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True))
+
+
+@st.composite
+def surface_grids(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
+    axes = [np.array(draw(st.lists(surface_floats, min_size=size, max_size=size)))
+            for size in shape]
+    cells = draw(st.lists(surface_floats, min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    return axes, np.array(cells).reshape(shape)
+
+
+@given(surface_grids(), st.sampled_from([1, 3, 7, 2048]))
+@settings(max_examples=150, deadline=None)
+def test_template_writer_matches_the_reference_on_edge_floats(grid, block):
+    axes, values = grid
+    got, want = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_WRITE_BLOCK_ROWS", block):
+        rows = write_surface_csv(got, axes, values)
+    assert rows == reference_surface_csv(want, axes, values) == values.size
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("size", [11, 13])
+def test_writer_rejects_values_that_do_not_fill_the_grid(size):
+    axes = [np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)]
+    with pytest.raises(ValueError, match=f"{size} entries.*12 grid points"):
+        write_surface_csv(io.StringIO(), axes, np.zeros(size))
+
+
+@pytest.mark.parametrize("bound", ["lower", "envelope_sup"])
+def test_surface_stdout_equals_the_out_file(runner, tmp_path, monkeypatch, bound):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 20)   # several blocks per surface
+    config = write_config(tmp_path, RMM_BOXED_3)
+    out = tmp_path / "surface.csv"
+    args = ["surface", "--config", config, "--grid", "9", "--bound", bound]
+    streamed = runner.invoke(main, args)
+    written = runner.invoke(main, args + ["--out", str(out)])
+    assert streamed.exit_code == written.exit_code == 0, (streamed.output, written.output)
+    assert streamed.stdout_bytes == out.read_bytes()
 
 
 def test_surface_rejects_bad_requests(runner, tmp_path):
