@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .copulas import joint_maxmin_H, joint_rmm_product, rmm2
+from .copulas import GeneratorVector, joint_maxmin_H, joint_rmm_product, rmm2
 from .distfn import DiracStep, Exponential, lifetime_max, lifetime_min
 from .genfn import extend_chi, extend_phi, to_rmm
 from .imprecise import PBox, ShockModel, build_bounds, rmm_envelope_grid
@@ -184,17 +184,24 @@ def _example_identities(errors: list[dict]) -> dict:
           [([float(y)], abs(fw.value(float(y)) -
                             (1.0 if y >= 1.0 else fy.value(float(y))))) for y in xs])
 
+    def on_grid(axis: np.ndarray, errors: np.ndarray) -> list:
+        """Witnesses ([u, w], error) at every point of the axis grid, row-major."""
+        return [([u, w], e) for (u, w), e in
+                zip(itertools.product(axis.tolist(), repeat=2), errors.ravel().tolist())]
+
+    def three_case(u: float, w: float) -> float:
+        return u * w if (u >= a or w >= b) else max(0.0, b * u + a * w - a * b)
+
+    # the fixture surfaces come from the grid kernel; the scalar rmm2 is
+    # checked against the closed form on the coarse envelope grid
     grid = np.linspace(0.0, 1.0, 101)
-    precise_vals = np.empty((grid.size, grid.size))
-    piecewise = []
-    for i, u in enumerate(grid):
-        for j, w in enumerate(grid):
-            u_, w_ = float(u), float(w)
-            want = u_ * w_ if (u_ >= a or w_ >= b) else max(0.0, b * u_ + a * w_ - a * b)
-            value = rmm2(f, g, u_, w_)
-            precise_vals[i, j] = value
-            piecewise.append(([u_, w_], abs(value - want)))
-    check("copula-three-case-form", 1e-12, piecewise)
+    env_axis = np.linspace(0.0, 1.0, 21)
+    precise_vals = copula_grid(GeneratorVector("rmm", (f, g), 1), [grid, grid])
+    closed = np.array([[three_case(u, w) for w in grid.tolist()] for u in grid.tolist()])
+    check("copula-three-case-form", 1e-12,
+          on_grid(grid, np.abs(precise_vals - closed))
+          + [([u, w], abs(rmm2(f, g, u, w) - three_case(u, w)))
+             for u, w in itertools.product(env_axis.tolist(), repeat=2)])
 
     # joint tail product: positive only above the diagonal, and the reflection
     # identity ties the three H routes together
@@ -232,31 +239,20 @@ def _example_identities(errors: list[dict]) -> dict:
                 abs(g_hi(float(u)) - _rmm_generator_form(b, float(u)))))
            for u in us])
 
-    lower_vals = np.empty((grid.size, grid.size))
-    upper_vals = np.empty((grid.size, grid.size))
-    order = []
-    for i, u in enumerate(grid):
-        for j, w in enumerate(grid):
-            u_, w_ = float(u), float(w)
-            lower_vals[i, j] = rmm2(f_hi, g_hi, u_, w_)
-            upper_vals[i, j] = rmm2(f_lo, g_lo, u_, w_)
-            order.append(([u_, w_], max(0.0, lower_vals[i, j] - upper_vals[i, j])))
-    check("bound-surfaces-ordered", 1e-12, order)
+    # the copula with the *lower* generators dominates pointwise
+    lower_vals = copula_grid(bf.upper_gen, [grid, grid])
+    upper_vals = copula_grid(bf.lower_gen, [grid, grid])
+    check("bound-surfaces-ordered", 1e-12, on_grid(grid, np.maximum(0.0, lower_vals - upper_vals)))
     spread = float(np.max(upper_vals - lower_vals))
     if spread <= 1e-3:
         errors.append({"identity": "bound-surfaces-strictly-apart", "max_error": spread,
                        "tolerance": "> 1e-3 somewhere", "witness": None})
 
-    env_checks = []
-    env_axis = np.linspace(0.0, 1.0, 21)
     env_lo, env_hi = rmm_envelope_grid(bf, [env_axis, env_axis])
-    for i, u in enumerate(env_axis):
-        for j, w in enumerate(env_axis):
-            u_, w_ = float(u), float(w)
-            env_checks.append(([u_, w_],
-                               max(abs(float(env_lo[i, j]) - rmm2(f_hi, g_hi, u_, w_)),
-                                   abs(float(env_hi[i, j]) - rmm2(f_lo, g_lo, u_, w_)))))
-    check("bivariate-envelope-is-bound-pair", 1e-12, env_checks)
+    bound_lo = copula_grid(bf.upper_gen, [env_axis, env_axis])
+    bound_hi = copula_grid(bf.lower_gen, [env_axis, env_axis])
+    check("bivariate-envelope-is-bound-pair", 1e-12,
+          on_grid(env_axis, np.maximum(np.abs(env_lo - bound_lo), np.abs(env_hi - bound_hi))))
 
     def columns(header: str, rows):
         return lambda fh: _write_columns(fh, header, rows)

@@ -6,7 +6,12 @@ n-variate array kernel (``marshall_values``, ``maxmin_values``,
 against each other.  The kernels take arguments and precomputed generator
 values, one array per coordinate; one-point calls (``*_n``,
 ``GeneratorVector.__call__``), point stacks and grids
-(``GeneratorVector.values``) all go through them.
+(``GeneratorVector.values``) all go through them.  Where every coordinate
+array has the same shape (one point, or a stack of points), the arguments
+and generator values sit in one table, one row per coordinate, and
+``rmm_values`` evaluates all its pair terms at once on that table; the axes
+of a grid keep one array per coordinate at its own shape, and ``rmm_values``
+takes their pairs one at a time.
 
 * Marshall: all components die at the latest of their own shock and a
   common shock.  ``C(u) = prod_i phi_i(u_i) * min_i u_i/phi_i(u_i)``,
@@ -171,16 +176,6 @@ def maxmin_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) ->
     return prefactor * np.add.accumulate(weight * np.maximum(lo - hi, 0.0), axis=0)[-1]
 
 
-# rmm_values stacks its pairs on one axis only where the loop over them would
-# be many numpy calls on small arrays: at least _STACKED_PAIRS pairs and at
-# most _STACKED_ENTRIES pair entries in all.  The loop keeps each pair at its
-# own broadcast shape, which costs less on grids and on larger stacks (on a
-# 2-vCPU host the stack won from about 12 pairs on calls of up to 150 points,
-# and lost at 256 points of n = 12 and on every grid of more than 256 points).
-_STACKED_PAIRS = 12
-_STACKED_ENTRIES = 4096
-
-
 def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
     """Reflected-maxmin copula over per-coordinate arrays that broadcast together.
 
@@ -190,21 +185,31 @@ def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np
         max{0, min over pairs (i < p <= j) of
             (u_i*u_j - f_i*f_j) * prod_{l != i,j} (u_l + f_l) }
 
-    The products run over ascending ``l`` with elementwise operations only,
-    so every entry is the same float whatever the shape of the call, and
-    whether the pairs are taken one at a time or stacked
-    (:func:`_rmm_stacked_pairs`).
+    The form follows the input's structure.  Where all 2n arrays share one
+    shape (one point, or a stack of points; an ``(n, ...)`` array is such a
+    sequence), every pair term is evaluated at once on a stacked layout
+    (:func:`_rmm_stack`).  Otherwise (the axes of a grid) the pairs are taken
+    one at a time, each at its own broadcast shape.  Both run the products
+    over ascending ``l`` with elementwise operations only, so every entry is
+    the same float whatever the shape of the call.
     """
     n = len(us)
     if len(fs) != n:
         raise ValueError(f"expected {n} generator arrays, got {len(fs)}")
     if not 1 <= p < n:
         raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
-    pairs = p * (n - p)
-    # np.broadcast takes at most 64 arrays
-    if (pairs >= _STACKED_PAIRS and n <= MAX_DIMENSION
-            and pairs * np.broadcast(*us, *fs).size <= _STACKED_ENTRIES):
-        return _rmm_stacked_pairs(us, fs, p)
+    if not (isinstance(us, np.ndarray) and isinstance(fs, np.ndarray) and us.shape == fs.shape):
+        if len({np.shape(a) for a in (*us, *fs)}) > 1:
+            return _rmm_pair_loop(us, fs, p)
+        stacked = np.array([*us, *fs], dtype=float)
+        us, fs = stacked[:n], stacked[n:]
+    entries = math.prod(us.shape[1:])
+    return _rmm_stack(us.reshape(n, entries), fs.reshape(n, entries), p).reshape(us.shape[1:])
+
+
+def _rmm_pair_loop(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """:func:`rmm_values` one pair at a time, each pair term at its own broadcast shape."""
+    n = len(us)
     shifted = [us[l] + fs[l] for l in range(n)]
     best = None
     for i in range(p):
@@ -220,36 +225,41 @@ def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np
     return np.maximum(best, 0.0)
 
 
-def _rmm_stacked_pairs(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """:func:`rmm_values` with the p(n - p) pairs on one leading axis, i-major.
+def _rmm_stack(u: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
+    """:func:`rmm_values` of a stack: ``u`` is ``(n, E)``, ``f`` is ``(n, ..., E)``.
 
-    The product over ascending ``l`` runs for every pair at once, with an
-    exact factor 1.0 at the pair's own two coordinates, so each entry is the
-    float the pair loop computes.
+    Middle axes of ``f`` hold generator tuples evaluated at the same
+    points; the result is ``(..., E)``.  The factors ``u_l + f_l`` of all
+    p(n - p) pair terms lie on one ``(n, pairs, ..., E)`` array, pairs
+    i-major, with an exact 1.0 at each pair's own two coordinates, and are
+    multiplied along the leading axis.  A multiply reduction runs in index
+    order (numpy pairs only its add reductions), so each term is the float
+    the pair loop computes, its product over ascending ``l``.
     """
-    n = len(us)
-    take, own = _pair_layout(n, p)
-    stacked = np.array(np.broadcast_arrays(*us, *fs), dtype=float)
-    u_i, u_j, f_i, f_j = stacked[take].reshape((4, -1) + stacked.shape[1:])
-    own = own.reshape(own.shape + (1,) * (stacked.ndim - 1))
-    shifted = stacked[:n] + stacked[n:]
-    rest = np.where(own[0], 1.0, shifted[0])
-    for l in range(1, n):
-        rest *= np.where(own[l], 1.0, shifted[l])
+    n = len(u)
+    pairs, _, rows = _pair_layout(n, p)
+    u = u.reshape(u.shape[:1] + (1,) * (f.ndim - 2) + u.shape[1:])
+    # row n of the factor table is the 1.0 that stands in for l = i and l = j
+    shifted = np.empty((n + 1,) + f.shape[1:])
+    shifted[n] = 1.0
+    np.add(u, f, out=shifted[:n])
+    rest = np.multiply.reduce(shifted[rows], axis=0)
+    (u_i, u_j), (f_i, f_j) = u[pairs], f[pairs]
     return np.maximum(np.minimum.reduce((u_i * u_j - f_i * f_j) * rest, axis=0), 0.0)
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of u_i, u_j, f_i, f_j in the stack of the us and the fs, one per
-    pair (i < p <= j) in i-major order, and the (n, pairs) mask of l in {i, j}."""
-    pairs = [(i, j) for i in range(p) for j in range(p, n)]
-    take = np.array([i for i, _ in pairs] + [j for _, j in pairs])
-    take = np.concatenate([take, take + n])
-    own = np.array([[l in pair for pair in pairs] for l in range(n)])
+def _pair_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinates i and j of the pairs (i < p <= j) in i-major order,
+    as a (2, pairs) array; the (n, pairs) mask of l in {i, j}; and the rows
+    of each pair's factors, l or, where the mask holds, n."""
+    pairs = np.array([(i, j) for i in range(p) for j in range(p, n)]).T
+    own = (np.arange(n)[:, None, None] == pairs).any(axis=1)
+    rows = np.where(own, n, np.arange(n)[:, None])
     # the cache hands the same arrays to every call
-    take.flags.writeable = own.flags.writeable = False
-    return take, own
+    for table in (pairs, own, rows):
+        table.flags.writeable = False
+    return pairs, own, rows
 
 
 def marshall_n(gens: Sequence[Generator], u: Sequence[float]) -> float:
@@ -265,8 +275,13 @@ def maxmin_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
 
 
 def rmm_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
-    """Reflected-maxmin copula; coordinates 0..p-1 max-type, p..n-1 min-type."""
-    return float(rmm_values(*_check_args(gens, u), p))
+    """Reflected-maxmin copula; coordinates 0..p-1 max-type, p..n-1 min-type.
+
+    The point and its generator values go to :func:`rmm_values` as one array.
+    """
+    args, fvals = _check_args(gens, u)
+    table = np.array(args + fvals)
+    return float(rmm_values(table[:len(gens)], table[len(gens):], p))
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +292,39 @@ def rmm_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
 _SLAB_POINTS = 8192
 
 
-def _tables(us: Sequence[np.ndarray], *vectors: "GeneratorVector") -> list[list[np.ndarray]]:
-    """Coordinate arrays of one ndim, then each vector's generators at every entry.
+def _tables(us: Sequence[np.ndarray], *vectors: "GeneratorVector") -> tuple[tuple[int, ...], list]:
+    """The broadcast shape of the coordinate arrays, and their groups: the
+    coordinates, then each vector's generators at every entry.
 
+    Coordinate arrays that all share one shape are a point stack (one point
+    is a stack of one; an ``(n, ...)`` array is one too).  Its groups are the
+    row blocks of one ``((1 + len(vectors)) * n, E)`` array, one column per
+    entry, made by a single ``np.array``.  Other arrays (the axes of a grid)
+    are brought to one ndim and each group is a list of per-coordinate arrays.
     An entry outside [0, 1], or nan, raises the ValueError of a one-point call.
     """
-    if len(us) != vectors[0].n:
-        raise ValueError(f"expected {vectors[0].n} coordinate arrays, got {len(us)}")
-    us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
-    ndim = max(u.ndim for u in us)
-    us = [u.reshape((1,) * (ndim - u.ndim) + u.shape) for u in us]
-    checked = [[_check_unit(t, f"u{k + 1}") for t in u.ravel().tolist()] for k, u in enumerate(us)]
-    return [us] + [[np.array([float(gen(t)) for t in ts]).reshape(u.shape)
-                    for gen, ts, u in zip(gv.generators, checked, us)] for gv in vectors]
+    n = vectors[0].n
+    if len(us) != n:
+        raise ValueError(f"expected {n} coordinate arrays, got {len(us)}")
+    if isinstance(us, np.ndarray):
+        shape = us.shape[1:] or (1,)
+        rows = us.reshape(n, math.prod(shape)).tolist()
+        stacked = True
+    else:
+        us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+        ndim = max(u.ndim for u in us)
+        us = [u.reshape((1,) * (ndim - u.ndim) + u.shape) for u in us]
+        shape = np.broadcast_shapes(*(u.shape for u in us))
+        rows = [u.ravel().tolist() for u in us]
+        stacked = all(u.shape == shape for u in us)
+    names = (f"u{k + 1}" for k in range(n))
+    checked = [[_check_unit(t, name) for t in row] for name, row in zip(names, rows)]
+    values = [[float(gen(t)) for t in ts] for gv in vectors for gen, ts in zip(gv.generators, checked)]
+    if stacked:
+        table = np.array(checked + values)
+        return shape, [table[k:k + n] for k in range(0, len(table), n)]
+    return shape, [us] + [[np.array(v).reshape(u.shape) for v, u in zip(values[k:k + n], us)]
+                          for k in range(0, len(values), n)]
 
 
 def _grid_arrays(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -298,16 +333,22 @@ def _grid_arrays(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
             for k, a in enumerate(axes)]
 
 
-def _by_slabs(kernel, groups: Sequence[Sequence[np.ndarray]], outs: Sequence[np.ndarray],
-              width: int = 1) -> None:
-    """Fill ``outs`` with ``kernel(*groups)`` for groups of per-coordinate arrays.
+def _by_slabs(kernel, groups: Sequence, outs: Sequence[np.ndarray], width: int = 1) -> None:
+    """Fill ``outs`` with ``kernel(*groups)`` for the groups of :func:`_tables`.
 
-    A slab is a run along one axis, later axes whole and earlier ones fixed,
-    of at most ``_SLAB_POINTS`` points and, where the kernel stacks ``width``
-    entries per point, at most ``8 * _SLAB_POINTS`` entries (one point at least).
+    A slab holds at most ``_SLAB_POINTS`` points and, where the kernel
+    stacks ``width`` entries per point, at most ``8 * _SLAB_POINTS`` entries
+    (one point at least).  On a point stack it is a run of columns; on a
+    grid it is a run along one axis, later axes whole and earlier ones fixed.
     """
     shape = outs[0].shape
     budget = max(1, min(_SLAB_POINTS, 8 * _SLAB_POINTS // width))
+    if isinstance(groups[0], np.ndarray):
+        flat = [out.reshape(-1) for out in outs]
+        for s in range(0, len(flat[0]), budget):
+            for out, values in zip(flat, kernel(*(g[:, s:s + budget] for g in groups))):
+                out[s:s + budget] = values
+        return
     if math.prod(shape) <= budget:
         for out, values in zip(outs, kernel(*groups)):
             out[...] = values
@@ -390,13 +431,16 @@ class GeneratorVector:
         per entry of its coordinate's array, an entry outside [0, 1] or nan
         raises ValueError, and the family kernel runs slab by slab.
         """
-        us, fs = _tables(us, self)
-        out = np.empty(np.broadcast_shapes(*(u.shape for u in us)))
-        p = self.split
+        shape, groups = _tables(us, self)
+        out = np.empty(shape)
+        n, p = self.n, self.split
         kernel = {"marshall": lambda u, f: (marshall_values(u, f),),
                   "maxmin": lambda u, f: (maxmin_values(u, f, p),),
                   "rmm": lambda u, f: (rmm_values(u, f, p),)}[self.family]
-        _by_slabs(kernel, (us, fs), (out,), 1 << (self.n - p) if self.family == "maxmin" else 1)
+        # entries per point: maxmin's subsets, the stacked rmm pair factors
+        width = {"maxmin": 1 << (n - p),
+                 "rmm": p * (n - p) * n if isinstance(groups[0], np.ndarray) else 1}
+        _by_slabs(kernel, groups, (out,), width.get(self.family, 1))
         return out
 
     def __call__(self, u: Sequence[float]) -> float:

@@ -99,9 +99,6 @@ class DistributionFn(ABC):
         a row to the preimage table); missing a jump is not.
         """
 
-    def survival(self, x: float) -> float:
-        return 1.0 - self.value(x)
-
     # -- level-crossing search -------------------------------------------
 
     def smallest_preimage(self, u: float) -> float:

@@ -20,11 +20,12 @@ generator choices, found from a reduced inf scan and a star-form sup
 search.  One function, :func:`rmm_envelope_values`, computes it over
 per-coordinate arrays from generator tables; single points
 (:func:`rmm_envelope`), point stacks and grids (:func:`rmm_envelope_grid`)
-all go through it.
+all go through it, points and stacks in a stacked form, grids axis by axis.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .copulas import (
     _by_slabs,
     _grid_arrays,
     _pair_layout,
+    _rmm_stack,
     _tables,
     rmm_values,
 )
@@ -446,7 +448,8 @@ def _cap_candidates(
     the cap and ``lo`` elsewhere, and ``A`` multiplies their ``1 + r`` in
     ascending coordinate order (the cap's own coordinate contributes an
     exact 1.0).  A cap below some ``lo`` ratio of the block is infeasible
-    and gets ``A`` = nan.
+    and gets ``A`` = nan.  This is the grid form: each ratio keeps the shape
+    of its coordinate's axis until the block is combined.
     """
     caps = np.stack(np.broadcast_arrays(*(r[k] for k in block for r in (rlo, rhi))))
     own = np.repeat(np.arange(len(block)), 2).reshape((-1,) + (1,) * (caps.ndim - 1))
@@ -460,9 +463,58 @@ def _cap_candidates(
     return caps, np.where(caps >= floor, a, np.nan)
 
 
+def _stacked_cap_candidates(ratios: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cap_candidates` of both blocks of a point stack, from its lo and
+    hi ratios ``(2, n, E)``: the T block's 2p candidates, then the S block's.
+
+    Each candidate's factors form a row of one ``(2n, n, E)`` array, an exact
+    1.0 at its own coordinate and at the other block's, multiplied along the
+    middle axis in index order: the block's product over ascending coordinates.
+    """
+    rlo, rhi = ratios
+    caps = ratios.swapaxes(0, 1).reshape(2 * len(rlo), -1)
+    fixed, block = _cap_layout(len(rlo), p)
+    factors = np.where(fixed, 1.0, 1.0 + np.where(rhi <= caps[:, None], rhi, rlo))
+    floor = np.maximum.reduceat(rlo, (0, p), axis=0)[block]
+    return caps, np.where(caps >= floor, np.multiply.reduce(factors, axis=1), np.nan)
+
+
+@functools.lru_cache(maxsize=None)
+def _cap_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2n, n, 1) mask of the coordinates that give each cap candidate a
+    factor 1.0 (its own, and the other block's), and the candidates' blocks."""
+    block = np.repeat(np.arange(n) >= p, 2)
+    fixed = np.repeat(np.eye(n, dtype=bool), 2, axis=0) | (block[:, None] != (np.arange(n) >= p))
+    fixed, block = fixed[:, :, None], block.astype(int)
+    for table in (fixed, block):
+        table.flags.writeable = False
+    return fixed, block
+
+
+def _sup_objective(caps_t: np.ndarray, a_t: np.ndarray, caps_s: np.ndarray, a_s: np.ndarray,
+                   shape: tuple[int, ...]) -> np.ndarray:
+    """A_T*A_S*(1 - c_T*c_S) of every (T-cap, S-cap) pair, T-caps outermost,
+    on a leading axis, with -inf where it is nan.
+
+    The first pair that maximises it wins, and a point without a finite
+    objective takes the all-upper tuple.  On a face u_l = 0, where every
+    vertex gives 0, the ratio 0/0 of coordinate l is nan and so is every
+    objective.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        # (1 - c_T*c_S) * (A_T*A_S), in place; the product commutes exactly
+        obj = caps_t[:, None] * caps_s[None, :]
+        np.subtract(1.0, obj, out=obj)
+        obj *= a_t[:, None] * a_s[None, :]
+    obj = obj.reshape((-1,) + shape)
+    obj[np.isnan(obj)] = -np.inf
+    return obj
+
+
 def _envelope_slab(
     us: list[np.ndarray], lo: list[np.ndarray], hi: list[np.ndarray], p: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(inf, sup) on a grid slab, each coordinate's arrays at its own axis shape."""
     n = len(us)
     shape = np.broadcast_shapes(*(u.shape for u in us))
     lead = (-1,) + (1,) * len(shape)
@@ -472,22 +524,12 @@ def _envelope_slab(
     fs = [np.where(own[k].reshape(lead), hi[k], lo[k]) for k in range(n)]
     inf = rmm_values(us, fs, p).min(axis=0)
 
-    # sup: the first (T-cap, S-cap) pair, T-caps outermost, that maximises
-    # A_T*A_S*(1 - c_T*c_S); a nan objective counts as -inf, and a point
-    # without a finite one takes the all-upper tuple.  On a face u_l = 0,
-    # where every vertex gives 0, the ratio 0/0 of coordinate l is nan and
-    # so is every objective.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rlo = [f / u for f, u in zip(lo, us)]
         rhi = [f / u for f, u in zip(hi, us)]
         caps_t, a_t = _cap_candidates(rlo, rhi, range(p))
         caps_s, a_s = _cap_candidates(rlo, rhi, range(p, n))
-        # (1 - c_T*c_S) * (A_T*A_S), in place; the product commutes exactly
-        obj = caps_t[:, None] * caps_s[None, :]
-        np.subtract(1.0, obj, out=obj)
-        obj *= a_t[:, None] * a_s[None, :]
-    obj = obj.reshape((-1,) + shape)
-    obj[np.isnan(obj)] = -np.inf
+    obj = _sup_objective(caps_t, a_t, caps_s, a_s, shape)
     win_t, win_s = np.divmod(obj.argmax(axis=0)[None], len(caps_s))
     cap_t = np.take_along_axis(np.broadcast_to(caps_t, (len(caps_t),) + shape), win_t, 0)[0]
     cap_s = np.take_along_axis(np.broadcast_to(caps_s, (len(caps_s),) + shape), win_s, 0)[0]
@@ -495,6 +537,34 @@ def _envelope_slab(
     fs = [np.where(upper | (rhi[k] <= (cap_t if k < p else cap_s)), hi[k], lo[k])
           for k in range(n)]
     return inf, rmm_values(us, fs, p)
+
+
+def _envelope_stack(
+    u: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(inf, sup) on a slab of a point stack, the ``(n, E)`` rows of its table.
+
+    One ``np.where`` on the own-pair mask and the sup tuple's choices gives
+    the p(n - p) inf tuples and the sup tuple, and one stacked pair
+    evaluation (:func:`copulas._rmm_stack`) the copula at all of them.
+    """
+    n = len(u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = np.divide((lo, hi), u)
+        caps, a = _stacked_cap_candidates(ratios, p)
+    obj = _sup_objective(caps[:2 * p], a[:2 * p], caps[2 * p:], a[2 * p:], u.shape[1:])
+    best = obj.argmax(axis=0)
+    columns = np.arange(len(best))
+    win_t, win_s = np.divmod(best, 2 * (n - p))
+    rhi = ratios[1]
+    own = _pair_layout(n, p)[1]
+    upper_at = np.empty((n, own.shape[1] + 1) + u.shape[1:], dtype=bool)
+    upper_at[:, :-1] = own[:, :, None]
+    upper_at[:p, -1] = rhi[:p] <= caps[win_t, columns]
+    upper_at[p:, -1] = rhi[p:] <= caps[2 * p + win_s, columns]
+    upper_at[:, -1] |= obj[best, columns] == -np.inf
+    values = _rmm_stack(u, np.where(upper_at, hi[:, None], lo[:, None]), p)
+    return values[:-1].min(axis=0), values[-1]
 
 
 def rmm_envelope_values(
@@ -525,30 +595,44 @@ def rmm_envelope_values(
     exceed the vertex maximum, so sup is not a guaranteed upper bound over
     the whole box.
 
-    The points are processed in slabs, as by :meth:`GeneratorVector.values`,
-    to keep the stacked temporaries small.
+    The form follows the input's structure, as in :func:`rmm_values`.  On
+    one point or a point stack (every array of one shape) the generator
+    values form one table, the caps of each block one factor array, and the
+    inf tuples and the sup tuple one stacked pair evaluation
+    (:func:`_envelope_stack`).  On a grid every coordinate keeps its axis
+    shape and the tuples are evaluated pair by pair (:func:`_envelope_slab`).
+    Both give the same floats.  The points are processed in slabs, as by
+    :meth:`GeneratorVector.values`, sized so the stacked temporaries stay
+    small.
     """
     return _envelope_of_tables(_vertex_tables(bf, us), bf.split)
 
 
-def _vertex_tables(bf: BoundFamily, us: Sequence[np.ndarray]) -> list[list[np.ndarray]]:
+def _vertex_tables(bf: BoundFamily, us: Sequence[np.ndarray]) -> tuple:
     """The coordinate arrays and the lower and upper rmm generators at every
     entry, as :func:`copulas._tables` gives them."""
     _require_family(bf, "rmm", "rmm envelope")
     return _tables(us, bf.lower_gen, bf.upper_gen)
 
 
-def _envelope_of_tables(tables: list[list[np.ndarray]], p: int) -> tuple[np.ndarray, np.ndarray]:
+def _envelope_of_tables(tables: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`rmm_envelope_values` from the :func:`_vertex_tables` of its points."""
-    shape = np.broadcast_shapes(*(u.shape for u in tables[0]))
+    shape, groups = tables
     inf_out, sup_out = np.empty(shape), np.empty(shape)
-    _by_slabs(lambda *part: _envelope_slab(*part, p), tables, (inf_out, sup_out))
+    if isinstance(groups[0], np.ndarray):
+        n = len(groups[0])
+        pairs = p * (n - p)
+        # the stacked pair evaluation holds (pairs + 1) * pairs * n factors per point
+        _by_slabs(lambda *part: _envelope_stack(*part, p), groups, (inf_out, sup_out),
+                  (pairs + 1) * pairs * n)
+    else:
+        _by_slabs(lambda *part: _envelope_slab(*part, p), groups, (inf_out, sup_out))
     return inf_out, sup_out
 
 
 def rmm_envelope(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
     """:func:`rmm_envelope_values` at one point, as two floats."""
-    inf, sup = rmm_envelope_values(bf, [[x] for x in u])
+    inf, sup = rmm_envelope_values(bf, np.array(u, dtype=float)[:, None])
     return float(inf[0]), float(sup[0])
 
 
@@ -576,25 +660,25 @@ def rmm_envelope_full_scan_values(
     return _full_scan_of_tables(_vertex_tables(bf, us), bf.split)
 
 
-def _full_scan_of_tables(tables: list[list[np.ndarray]], p: int) -> tuple[np.ndarray, np.ndarray]:
+def _full_scan_of_tables(tables: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`rmm_envelope_full_scan_values` from the :func:`_vertex_tables` of its points."""
-    n = len(tables[0])
-    shape = np.broadcast_shapes(*(u.shape for u in tables[0]))
-    masks = np.arange(1 << n).reshape((-1,) + (1,) * len(shape))
+    shape, groups = tables
+    n = len(groups[0])
 
     def scan(us, lo, hi):
+        masks = np.arange(1 << n).reshape((-1,) + (1,) * np.ndim(us[0]))
         fs = [np.where(masks >> k & 1, h, l) for k, (l, h) in enumerate(zip(lo, hi))]
         values = rmm_values(us, fs, p)
         return values.min(axis=0), values.max(axis=0)
 
     min_out, max_out = np.empty(shape), np.empty(shape)
-    _by_slabs(scan, tables, (min_out, max_out), 1 << n)
+    _by_slabs(scan, groups, (min_out, max_out), 1 << n)
     return min_out, max_out
 
 
 def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
     """:func:`rmm_envelope_full_scan_values` at one point, as two floats."""
-    low, high = rmm_envelope_full_scan_values(bf, [[x] for x in u])
+    low, high = rmm_envelope_full_scan_values(bf, np.array(u, dtype=float)[:, None])
     return float(low[0]), float(high[0])
 
 

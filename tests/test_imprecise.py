@@ -315,6 +315,21 @@ def test_maxmin_mixed_bounds_sandwich_member_copulas():
                 assert lo - 1e-12 <= c <= hi + 1e-12, (u, v)
 
 
+def test_marshall_bound_copulas_are_the_bound_vectors_and_sandwich_member_copulas():
+    boxes = (PBox(DLOW, DHIGH), PBox(Exponential(1.0), Exponential(2.0)), PBox(DLOW, DHIGH))
+    model = ShockModel("marshall", boxes, DSHOCK)
+    bf = build_bounds(model)
+    members = [build_bounds(model.member_model(thetas)).lower_gen
+               for thetas in itertools.product((0.0, 0.5, 1.0), repeat=3)]
+    for u in itertools.product(UGRID[::2], repeat=3):
+        lo, hi = imprecise.marshall_bound_copulas(bf, u)
+        assert (lo, hi) == (bf.lower_gen(u), bf.upper_gen(u))
+        for gv in members:
+            assert lo - 1e-12 <= gv(u) <= hi + 1e-12, u
+    with pytest.raises(ValueError, match="marshall"):
+        imprecise.marshall_bound_copulas(build_bounds(rate_box_model()), (0.5, 0.5))
+
+
 def test_bound_surfaces_require_the_right_family():
     model = rate_box_model()
     bf = build_bounds(model)
@@ -497,13 +512,15 @@ def unit_stacks(n):
     return st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=6)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(2, 13))
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["continuous", "discrete"]))
 @settings(max_examples=12, deadline=None)
 def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
     rng = philox_stream(seed, 5)
-    for p in range(1, n):
+    # from n = 7 on, the first, middle and last split; the 2^n full scan and
+    # the grid only up to n = 8 and n = 6
+    for p in range(1, n) if n <= 6 else (1, n // 2, n - 1):
         bf = build_bounds(drawn_model(rng, kind, n, p))
         points = data.draw(unit_stacks(n))
         want = np.array([envelope_reference.envelope(bf, u) for u in points])
@@ -511,14 +528,19 @@ def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
         assert np.array_equal(bits(inf), bits(want[:, 0])) and np.array_equal(bits(sup), bits(want[:, 1]))
         with mock.patch.object(copulas, "_SLAB_POINTS", 2):
             assert np.array_equal(bits(rmm_envelope_values(bf, np.array(points).T)), bits(want.T))
+        for u, w in zip(points, want):
+            assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
+        if n > 8:
+            continue
         full = np.array([envelope_reference.full_scan(bf, u) for u in points])
         assert np.array_equal(bits(rmm_envelope_full_scan_values(bf, np.array(points).T)), bits(full.T))
         with mock.patch.object(copulas, "_SLAB_POINTS", 2):
             assert np.array_equal(bits(rmm_envelope_full_scan_values(bf, np.array(points).T)),
                                   bits(full.T))
-        for u, w, f in zip(points, want, full):
-            assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
+        for u, f in zip(points, full):
             assert np.array_equal(bits(rmm_envelope_full_scan(bf, u)), bits(f)), (p, u)
+        if n > 6:
+            continue
         # a grid through the points' coordinates
         axes = [np.array(sorted({u[k] for u in points})[:3 if n <= 4 else 2]) for k in range(n)]
         inf, sup = rmm_envelope_grid(bf, axes)
@@ -532,23 +554,38 @@ def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
        kind=st.sampled_from(["continuous", "discrete"]))
 @settings(max_examples=6, deadline=None)
 def test_rmm_pair_loop_and_pair_stack_equal_the_scalar_reference_bit_for_bit(n, data, seed, kind):
-    # rmm_values loops over the pairs or stacks them depending on the call's
-    # size; each setting below must return the reference's floats
+    # rmm_values stacks the pair terms where every coordinate array has one
+    # shape (a stack, one point) and loops over the pairs on a grid; each
+    # form must return the reference's floats
     rng = philox_stream(seed, 7)
-    choices = [{"_STACKED_PAIRS": copulas._STACKED_PAIRS}, {"_STACKED_PAIRS": 10**9},
-               {"_STACKED_PAIRS": 1, "_STACKED_ENTRIES": 10**9}]
     for p in range(1, n):
         bf = build_bounds(drawn_model(rng, kind, n, p))
         points = data.draw(unit_stacks(n)) + rng.uniform(0.0, 1.0, (20, n)).tolist()
         want = np.array([envelope_reference.rmm_from_values(u, envelope_reference.vertex_values(bf, u)[0], p)
                          for u in points])
         envelopes = np.array([envelope_reference.envelope(bf, u) for u in points[:2]])
-        for choice in choices:
-            with mock.patch.multiple(copulas, **choice):
+        # a grid through the coordinates of the first drawn and the first
+        # uniform point on four axes of both blocks, the other axes at the
+        # first point's coordinate
+        wide = {0, p - 1, p, n - 1}
+        axes = [np.array(sorted({u[k] for u in (points[0], points[-20])[:2 if k in wide else 1]}))
+                for k in range(n)]
+        grid_points = [[float(axes[k][i]) for k, i in enumerate(idx)]
+                       for idx in np.ndindex(*(a.size for a in axes))]
+        grid_want = [envelope_reference.rmm_from_values(u, envelope_reference.vertex_values(bf, u)[0], p)
+                     for u in grid_points]
+        spy = mock.patch.object(copulas, "_rmm_pair_loop", wraps=copulas._rmm_pair_loop)
+        with spy as loop:
+            assert np.array_equal(bits(bf.lower_gen.values(np.array(points).T)), bits(want)), p
+            with mock.patch.object(copulas, "_SLAB_POINTS", 2):
                 assert np.array_equal(bits(bf.lower_gen.values(np.array(points).T)), bits(want)), p
-                assert np.array_equal(bits([bf.lower_gen(u) for u in points[:2]]), bits(want[:2])), p
-                for u, w in zip(points, envelopes):
-                    assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
+            assert np.array_equal(bits([bf.lower_gen(u) for u in points[:2]]), bits(want[:2])), p
+            for u, w in zip(points, envelopes):
+                assert np.array_equal(bits(rmm_envelope(bf, u)), bits(w)), (p, u)
+            assert not loop.called
+            got = copula_grid(bf.lower_gen, axes)
+            assert loop.called
+        assert np.array_equal(bits(got.ravel()), bits(grid_want)), p
 
 
 def reference_values(gv, points):
