@@ -45,9 +45,13 @@ from .copulas import (
     GeneratorVector,
     MAX_DIMENSION,
     joint_marshall_H,
+    joint_marshall_values,
     joint_maxmin_H,
+    joint_maxmin_values,
     joint_rmm_Hsigma,
+    joint_rmm_Hsigma_values,
     joint_rmm_product,
+    joint_rmm_values,
     marshall2,
     marshall_n,
     maxmin2,
@@ -92,8 +96,9 @@ __all__ = [
     "PiecewiseLinearGenerator", "TruncatedLinear", "UnitGenerator", "ZeroGenerator",
     "extend_chi", "extend_phi", "extend_psi", "generator_from_spec", "tabulate",
     "to_rmm", "validate",
-    "GeneratorVector", "MAX_DIMENSION", "joint_marshall_H", "joint_maxmin_H",
-    "joint_rmm_Hsigma", "joint_rmm_product", "marshall2", "marshall_n", "maxmin2",
+    "GeneratorVector", "MAX_DIMENSION", "joint_marshall_H", "joint_marshall_values",
+    "joint_maxmin_H", "joint_maxmin_values", "joint_rmm_Hsigma", "joint_rmm_Hsigma_values",
+    "joint_rmm_product", "joint_rmm_values", "marshall2", "marshall_n", "maxmin2",
     "maxmin_n", "rmm2", "rmm_n",
     "BoundFamily", "PBox", "ShockModel", "build_bounds", "marshall_H_bounds",
     "marshall_bound_copulas", "maxmin_H_bounds", "maxmin_bivariate_mixed_bounds",

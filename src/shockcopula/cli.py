@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .copulas import GeneratorVector, joint_maxmin_H, joint_rmm_product, rmm2
+from .copulas import GeneratorVector, _grid_arrays, joint_maxmin_values, joint_rmm_values, rmm2
 from .distfn import DiracStep, Exponential, lifetime_max, lifetime_min
 from .genfn import extend_chi, extend_phi, to_rmm
 from .imprecise import PBox, ShockModel, build_bounds, rmm_envelope_grid
@@ -206,16 +206,16 @@ def _example_identities(errors: list[dict]) -> dict:
     # joint tail product: positive only above the diagonal, and the reflection
     # identity ties the three H routes together
     margins = [fx, fy]
+    time_axis = np.linspace(0.0, 3.0, 41)
+    time_grid = _grid_arrays([time_axis, time_axis])
     tail_checks = []
     reflect_checks = []
-    for x in np.linspace(0.0, 3.0, 41):
-        for y in np.linspace(0.0, 3.0, 41):
-            x_, y_ = float(x), float(y)
-            hs = joint_rmm_product(margins, fz, [x_, y_], 1)
-            want = fx.value(x_) * (1.0 - fy.value(y_)) * max(0.0, fz.value(x_) - fz.value(y_))
-            tail_checks.append(([x_, y_], abs(hs - want)))
-            h = joint_maxmin_H(margins, fz, [x_, y_], 1)
-            reflect_checks.append(([x_, y_], abs(fu.value(x_) - hs - h)))
+    for (x_, y_), hs, h in zip(itertools.product(time_axis.tolist(), repeat=2),
+                               joint_rmm_values(margins, fz, time_grid, 1).ravel().tolist(),
+                               joint_maxmin_values(margins, fz, time_grid, 1).ravel().tolist()):
+        want = fx.value(x_) * (1.0 - fy.value(y_)) * max(0.0, fz.value(x_) - fz.value(y_))
+        tail_checks.append(([x_, y_], abs(hs - want)))
+        reflect_checks.append(([x_, y_], abs(fu.value(x_) - hs - h)))
     check("tail-product-closed-form", 1e-12, tail_checks)
     check("reflection-identity", 1e-12, reflect_checks)
 

@@ -23,9 +23,12 @@ takes their pairs one at a time.
   (max-type, min-type) index pairs.
 
 Joint distribution functions of the underlying shock models are provided
-alongside (``joint_*``); they are written directly in terms of the
-component and shock distribution functions and serve as the ground truth
-the copula compositions must reproduce.
+alongside; they are written directly in terms of the component and shock
+distribution functions and serve as the ground truth the copula
+compositions must reproduce.  Each has one array form (``joint_*_values``)
+over per-coordinate arrays of time points, and its one-point form
+(``joint_marshall_H``, ``joint_maxmin_H``, ``joint_rmm_product``,
+``joint_rmm_Hsigma``) is that form on a stack of one.
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ __all__ = [
     "marshall_values",
     "maxmin_values",
     "rmm_values",
+    "joint_marshall_values",
+    "joint_maxmin_values",
+    "joint_rmm_values",
+    "joint_rmm_Hsigma_values",
     "joint_marshall_H",
     "joint_maxmin_H",
     "joint_rmm_product",
@@ -456,92 +463,182 @@ class GeneratorVector:
 # ---------------------------------------------------------------------------
 
 
-def joint_marshall_H(
-    components: Sequence[DistributionFn], shock: DistributionFn, x: Sequence[float]
-) -> float:
-    """P(all max lifetimes <= x_i) = prod_i F_i(x_i) * F_Z(min_i x_i)."""
-    if len(x) != len(components):
-        raise ValueError(f"expected {len(components)} coordinates, got {len(x)}")
-    return math.prod(f.value(xi) for f, xi in zip(components, x)) * shock.value(min(x))
+def _coordinate_arrays(
+    components: Sequence[DistributionFn], xs: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """The coordinates of a joint-law call as float arrays, one per component."""
+    if len(xs) != len(components):
+        raise ValueError(f"expected {len(components)} coordinates, got {len(xs)}")
+    return [np.asarray(x, dtype=float) for x in xs]
 
 
-def joint_maxmin_H(
+def _values_at(fn: DistributionFn, x: np.ndarray) -> np.ndarray:
+    """``fn.value`` at every entry of ``x``, in the shape of ``x``."""
+    return np.array([fn.value(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _product_of_values(fns: Sequence[DistributionFn], xs: Sequence[np.ndarray]) -> np.ndarray:
+    """``prod_k fns[k].value(xs[k])`` entrywise, multiplied in ascending k."""
+    return functools.reduce(np.multiply, (_values_at(f, x) for f, x in zip(fns, xs)))
+
+
+def _shock_at(shock: DistributionFn, *args: np.ndarray) -> list[np.ndarray]:
+    """``shock.value`` at every entry of the arrays, asked once per distinct argument."""
+    distinct, inverse = np.unique(np.concatenate([a.ravel() for a in args]), return_inverse=True)
+    fz = _values_at(shock, distinct)[inverse]
+    ends = np.cumsum([a.size for a in args])[:-1]
+    return [part.reshape(a.shape) for part, a in zip(np.split(fz, ends), args)]
+
+
+def _one_point(x: Sequence[float]) -> np.ndarray:
+    """One point as a stack of one: n coordinate arrays of length 1."""
+    return np.asarray(x, dtype=float).reshape(-1, 1)
+
+
+def joint_marshall_values(
+    components: Sequence[DistributionFn], shock: DistributionFn, xs: Sequence[np.ndarray]
+) -> np.ndarray:
+    """P(all max lifetimes <= x_i) = prod_i F_i(x_i) * F_Z(min_i x_i), array-at-a-time.
+
+    ``xs`` holds the coordinates, one array (or float) per component, that
+    broadcast together: a stack of m points is n arrays of length m (an
+    ``(n, m)`` array is one), a grid is n axes each shaped to run along its
+    own dimension.  The result has the broadcast shape.  Each component is
+    evaluated once per entry of its own array and the shock once per
+    distinct argument of the whole call.  The product runs over ascending i
+    with elementwise operations only, so every entry is the same float
+    whatever the shape of the call.
+    """
+    xs = _coordinate_arrays(components, xs)
+    (fz,) = _shock_at(shock, functools.reduce(np.minimum, xs))
+    return _product_of_values(components, xs) * fz
+
+
+def joint_maxmin_values(
     components: Sequence[DistributionFn],
     shock: DistributionFn,
-    x: Sequence[float],
+    xs: Sequence[np.ndarray],
     p: int,
-) -> float:
+) -> np.ndarray:
     """Joint law with max lifetimes at 0..p-1 and min lifetimes at p..n-1.
 
-    sum over K subsets of the min block of
+    Over coordinate arrays as in :func:`joint_marshall_values`, the sum over
+    subsets K of the min block S of
+
         prod_{i in T u (S\\K)} F_i(x_i)
         * max{0, F_Z(min over T u K of x) - F_Z(max over S\\K of x)}
-    with the F_Z term over an empty S\\K read as 0.  Both F_Z arguments are
-    min_T x or some x_j of the min block (the max also 0 where every x_j of
-    S\\K is negative), so the shock is evaluated once per distinct argument:
-    at most n - p + 1 times for x >= 0.
+
+    with the F_Z term over an empty S\\K read as 0.  The 2^(n-p) subsets lie
+    on a leading axis indexed by the bit mask of K, built by doubling as in
+    :func:`maxmin_values`, so each weight is prod_T F_i times the F_j of
+    S\\K in ascending j; a term is kept only where its F_Z difference is
+    positive, and the terms are summed from 0.0 in mask order.  Both F_Z
+    arguments are min_T x or some x_j of the min block (the max also 0 where
+    every x_j of S\\K is negative), so the shock, asked once per distinct
+    argument of the whole call, sees at most n - p + 1 of them per point for
+    x >= 0.  The temporaries hold 2^(n-p) entries per point.
     """
     n = len(components)
-    if len(x) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(x)}")
+    xs = _coordinate_arrays(components, xs)
     if not 1 <= p < n:
         raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
-    ft = math.prod(components[i].value(x[i]) for i in range(p))
-    min_t = min(x[:p])
-    m = n - p
-    fs = [components[p + b].value(x[p + b]) for b in range(m)]
-    fz: dict[float, float] = {}
+    shape = np.broadcast_shapes(*(x.shape for x in xs))
+    block = np.empty((3, 1 << (n - p)) + shape)
+    lo, hi, weight = block
+    lo[0] = functools.reduce(np.minimum, xs[:p])
+    hi[0] = 0.0
+    weight[0] = _product_of_values(components[:p], xs[:p])
+    for b, x in enumerate(xs[p:]):
+        # the subsets with coordinate p + b in K go after those without it
+        k = 1 << b
+        np.minimum(lo[:k], x, out=lo[k:2 * k])
+        block[1:, k:2 * k] = block[1:, :k]
+        np.maximum(hi[:k], x, out=hi[:k])
+        weight[:k] *= _values_at(components[p + b], x)
+    # the last mask, K = S, leaves S\K empty: its F_Z term is 0, not asked
+    fz_hi, fz_lo = _shock_at(shock, lo, hi[:-1])
+    fz_lo = np.concatenate([fz_lo, np.zeros((1,) + shape)])
+    # row 0 is the 0.0 the sum starts from
+    terms = np.zeros((1 + len(lo),) + shape)
+    np.multiply(weight, fz_hi - fz_lo, out=terms[1:], where=fz_hi > fz_lo)
+    return np.add.accumulate(terms, axis=0)[-1]
 
-    def shock_value(t: float) -> float:
-        if t not in fz:
-            fz[t] = shock.value(t)
-        return fz[t]
 
-    total = 0.0
-    for mask in range(1 << m):
-        lo_arg = min_t
-        hi_fz = 0.0
-        weight = ft
-        empty_rest = True
-        for b in range(m):
-            xj = x[p + b]
-            if mask >> b & 1:
-                if xj < lo_arg:
-                    lo_arg = xj
-            else:
-                empty_rest = False
-                weight *= fs[b]
-                if xj > hi_fz:
-                    hi_fz = xj
-        fz_lo = 0.0 if empty_rest else shock_value(hi_fz)
-        fz_hi = shock_value(lo_arg)
-        if fz_hi > fz_lo:
-            total += weight * (fz_hi - fz_lo)
-    return total
+def joint_rmm_values(
+    components: Sequence[DistributionFn],
+    shock: DistributionFn,
+    xs: Sequence[np.ndarray],
+    p: int,
+) -> np.ndarray:
+    """P(max lifetimes <= x_i for i < p, min lifetimes > x_j for j >= p).
+
+    Over coordinate arrays as in :func:`joint_marshall_values`, this is
+
+        prod_T F_i(x_i) * prod_S (1 - F_j(x_j))
+        * max{0, F_Z(min_T x) - F_Z(max_S x)}
+
+    with both products over ascending coordinates.
+    """
+    n = len(components)
+    xs = _coordinate_arrays(components, xs)
+    if not 1 <= p < n:
+        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
+    ft = _product_of_values(components[:p], xs[:p])
+    fs_hat = functools.reduce(np.multiply,
+                              (1.0 - _values_at(components[j], xs[j]) for j in range(p, n)))
+    fz_t, fz_s = _shock_at(shock, functools.reduce(np.minimum, xs[:p]),
+                           functools.reduce(np.maximum, xs[p:]))
+    return ft * fs_hat * np.maximum(0.0, fz_t - fz_s)
+
+
+def joint_rmm_Hsigma_values(
+    gens: GeneratorVector,
+    components: Sequence[DistributionFn],
+    shock: DistributionFn,
+    xs: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Compose the rmm copula with its marginals: C(G_T(x), 1 - G_S(x)).
+
+    ``gens`` must be an rmm vector; coordinates below the split compose with
+    max-lifetime distribution functions, the rest with survival functions of
+    min lifetimes.  Over coordinate arrays as in
+    :func:`joint_marshall_values`, each lifetime is built once per call and
+    the composed arguments go to :meth:`GeneratorVector.values`, so every
+    entry is the float of a one-point call.  With canonically extended
+    generators this reproduces :func:`joint_rmm_values`.
+    """
+    if gens.family != "rmm":
+        raise ValueError(f"expected an rmm generator vector, got {gens.family!r}")
+    n, p = gens.n, gens.split
+    if len(components) != n:
+        raise ValueError(f"expected {n} components, got {len(components)}")
+    xs = _coordinate_arrays(components, xs)
+    args = [_values_at(lifetime_max(components[i], shock), xs[i]) for i in range(p)]
+    args += [1.0 - _values_at(lifetime_min(components[j], shock), xs[j]) for j in range(p, n)]
+    return gens.values(args)
+
+
+def joint_marshall_H(
+    components: Sequence[DistributionFn], shock: DistributionFn, x: Sequence[float]
+) -> float:
+    """:func:`joint_marshall_values` at one point, a stack of one."""
+    return float(joint_marshall_values(components, shock, _one_point(x))[0])
+
+
+def joint_maxmin_H(
+    components: Sequence[DistributionFn], shock: DistributionFn, x: Sequence[float], p: int
+) -> float:
+    """:func:`joint_maxmin_values` at one point, a stack of one."""
+    return float(joint_maxmin_values(components, shock, _one_point(x), p)[0])
 
 
 def joint_rmm_product(
-    components: Sequence[DistributionFn],
-    shock: DistributionFn,
-    x: Sequence[float],
-    p: int,
+    components: Sequence[DistributionFn], shock: DistributionFn, x: Sequence[float], p: int
 ) -> float:
-    """P(max lifetimes <= x_i for i < p, min lifetimes > x_j for j >= p).
-
-    Equals prod_T F_i(x_i) * prod_S (1 - F_j(x_j))
-           * max{0, F_Z(min_T x) - F_Z(max_S x)}.
-    """
-    n = len(components)
-    if len(x) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(x)}")
-    if not 1 <= p < n:
-        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
-    ft = math.prod(components[i].value(x[i]) for i in range(p))
-    fs_hat = math.prod(1.0 - components[j].value(x[j]) for j in range(p, n))
-    delta = shock.value(min(x[:p])) - shock.value(max(x[p:]))
-    return ft * fs_hat * max(0.0, delta)
+    """:func:`joint_rmm_values` at one point, a stack of one."""
+    return float(joint_rmm_values(components, shock, _one_point(x), p)[0])
 
 
 def joint_rmm_Hsigma(
@@ -550,22 +647,5 @@ def joint_rmm_Hsigma(
     shock: DistributionFn,
     x: Sequence[float],
 ) -> float:
-    """Compose the rmm copula with its marginals: C(G_T(x), 1 - G_S(x)).
-
-    ``gens`` must be an rmm vector; coordinates below the split compose with
-    max-lifetime distribution functions, the rest with survival functions of
-    min lifetimes.  With canonically extended generators this reproduces
-    :func:`joint_rmm_product`.
-    """
-    if gens.family != "rmm":
-        raise ValueError(f"expected an rmm generator vector, got {gens.family!r}")
-    n = gens.n
-    if len(components) != n or len(x) != n:
-        raise ValueError(f"expected {n} components and coordinates")
-    p = gens.split
-    args = []
-    for i in range(p):
-        args.append(lifetime_max(components[i], shock).value(x[i]))
-    for j in range(p, n):
-        args.append(1.0 - lifetime_min(components[j], shock).value(x[j]))
-    return rmm_n(gens.generators, args, p)
+    """:func:`joint_rmm_Hsigma_values` at one point, a stack of one."""
+    return float(joint_rmm_Hsigma_values(gens, components, shock, _one_point(x))[0])

@@ -26,10 +26,10 @@ import numpy as np
 from .copulas import (
     GeneratorVector,
     _grid_arrays,
-    joint_marshall_H,
-    joint_maxmin_H,
-    joint_rmm_Hsigma,
-    joint_rmm_product,
+    joint_marshall_values,
+    joint_maxmin_values,
+    joint_rmm_Hsigma_values,
+    joint_rmm_values,
 )
 from .distfn import (
     Clamp,
@@ -476,12 +476,14 @@ def random_member(rng: np.random.Generator, box: PBox) -> DistributionFn:
 
 
 def _lattice_points(rng: np.random.Generator, count: int, n: int) -> list[list[float]]:
+    """``count`` points of the coordinate lattice, drawn by one RNG call."""
     lattice = np.array(COORDINATE_LATTICE)
-    return [[float(v) for v in rng.choice(lattice, size=n)] for _ in range(count)]
+    return lattice[rng.integers(0, lattice.size, size=(count, n))].tolist()
 
 
 def _unit_points(rng: np.random.Generator, count: int, n: int) -> list[list[float]]:
-    return [[float(v) for v in rng.random(n)] for _ in range(count)]
+    """``count`` points of the unit cube, drawn by one RNG call."""
+    return rng.random((count, n)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +551,18 @@ def suite_oracles(seed: int, models_per_family: int = 100, points_per_model: int
             direct.instances += 1
             composed.instances += 1
             points = _lattice_points(rng, points_per_model, n)
+            xs = _columns(points, n)
             if reflected:
-                composed_values = [joint_rmm_Hsigma(gens, margins, z, x) for x in points]
+                composed_values = joint_rmm_Hsigma_values(gens, margins, z, xs)
+                direct_values = joint_rmm_values(margins, z, xs, p)
             else:
                 composed_values = gens.values(
-                    [[g.value(x[k]) for x in points] for k, g in enumerate(lifetimes)]).tolist()
-            for x, got_composed in zip(points, composed_values):
+                    [[g.value(x[k]) for x in points] for k, g in enumerate(lifetimes)])
+                direct_values = (joint_marshall_values(margins, z, xs) if family == "marshall"
+                                 else joint_maxmin_values(margins, z, xs, p))
+            for x, got_direct, got_composed in zip(points, direct_values.tolist(),
+                                                   composed_values.tolist()):
                 want = oracle.exact_joint(x, reflected_tail=reflected)
-                if family == "marshall":
-                    got_direct = joint_marshall_H(margins, z, x)
-                elif family == "maxmin":
-                    got_direct = joint_maxmin_H(margins, z, x, p)
-                else:
-                    got_direct = joint_rmm_product(margins, z, x, p)
                 if abs(want - got_direct) > 1e-12:
                     direct.record(label, x, want, got_direct)
                 if abs(want - got_composed) > 1e-12:
@@ -575,11 +576,30 @@ def _columns(points: list[list[float]], n: int) -> np.ndarray:
     return np.array(points, dtype=float).reshape(-1, n).T
 
 
-def _lattice_with_H_bounds(rng, bf: BoundFamily, count: int):
-    """(x, lower, upper) for lattice points x, the bounds from one stacked call."""
+def _joint_law_checks(rng, reports, label, bf: BoundFamily, count: int, law, marginals,
+                      bounding, sandwich_tol: float, composition_tol: float) -> list[list[float]]:
+    """Draw ``count`` lattice points and check the H bounds there; returns the points.
+
+    The bounds come from one stacked :func:`H_bounds_values` call and
+    ``law(components, xs)``, a joint law over the points' columns, gives the
+    joint law of each member's ``marginals`` and of both ``bounding``
+    component lists in one stacked call each.  A member outside the bounds
+    is a ``composed-sandwich`` failure; bounds that differ from the bounding
+    laws are an ``H-composition`` failure.
+    """
     lattice = _lattice_points(rng, count, bf.n)
-    lows, highs = H_bounds_values(bf, _columns(lattice, bf.n))
-    return zip(lattice, lows.tolist(), highs.tolist())
+    xs = _columns(lattice, bf.n)
+    lows, highs = (h.tolist() for h in H_bounds_values(bf, xs))
+    mids = [law(margins, xs).tolist() for margins in marginals]
+    want_lows, want_highs = (law(components, xs).tolist() for components in bounding)
+    for q, (x, lo, hi) in enumerate(zip(lattice, lows, highs)):
+        for values in mids:
+            if not (lo <= values[q] + sandwich_tol and values[q] <= hi + sandwich_tol):
+                reports["composed-sandwich"].record(label, x, (lo, hi), values[q])
+        want_lo, want_hi = want_lows[q], want_highs[q]
+        if abs(lo - want_lo) > composition_tol or abs(hi - want_hi) > composition_tol:
+            reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
+    return lattice
 
 
 def _copula_sandwich(report, label, unit, lower, upper, members, tol) -> None:
@@ -611,16 +631,11 @@ def _theorem_checks_marshall(rng, model, idx, points, reports) -> None:
     _copula_sandwich(reports["copula-sandwich"], label, _unit_points(rng, points, n),
                      bf.lower_gen, bf.upper_gen, members, 1e-12)
 
-    for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
-        for margins in marginals:
-            mid = joint_marshall_H(margins, z, x)
-            if not (lo <= mid + 1e-12 and mid <= hi + 1e-12):
-                reports["composed-sandwich"].record(label, x, (lo, hi), mid)
-        want_lo = joint_marshall_H([b.lower for b in model.endogenous], z, x)
-        want_hi = joint_marshall_H([b.upper for b in model.endogenous], z, x)
-        if abs(lo - want_lo) > 1e-12 or abs(hi - want_hi) > 1e-12:
-            reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
-
+    lattice = _joint_law_checks(
+        rng, reports, label, bf, points, lambda comps, xs: joint_marshall_values(comps, z, xs),
+        marginals, ([b.lower for b in model.endogenous], [b.upper for b in model.endogenous]),
+        1e-12, 1e-12)
+    for x in lattice:
         for k in range(n):
             for gen, G, Fk in (
                 (bf.lower_gen.generators[k], bf.lower_G[k], model.endogenous[k].lower),
@@ -651,16 +666,11 @@ def _theorem_checks_maxmin(rng, model, idx, points, reports) -> None:
     members = _member_models(rng, model)
     marginals = [member.precise_marginals() for member in members]
 
-    for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
-        for margins in marginals:
-            mid = joint_maxmin_H(margins, z, x, p)
-            if not (lo <= mid + 1e-10 and mid <= hi + 1e-10):
-                reports["composed-sandwich"].record(label, x, (lo, hi), mid)
-        want_lo = joint_maxmin_H([b.lower for b in model.endogenous], z, x, p)
-        want_hi = joint_maxmin_H([b.upper for b in model.endogenous], z, x, p)
-        if abs(lo - want_lo) > 1e-10 or abs(hi - want_hi) > 1e-10:
-            reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
-
+    lattice = _joint_law_checks(
+        rng, reports, label, bf, points, lambda comps, xs: joint_maxmin_values(comps, z, xs, p),
+        marginals, ([b.lower for b in model.endogenous], [b.upper for b in model.endogenous]),
+        1e-10, 1e-10)
+    for x in lattice:
         for k in range(n):
             for gen, G, Fk in (
                 (bf.lower_gen.generators[k], bf.lower_G[k], model.endogenous[k].lower),
@@ -706,7 +716,10 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
             if flo > fhi + 1e-12:
                 reports["generator-order"].record(label, [k, float(t)], "lower <= upper", (flo, fhi))
 
-    for x, lo, hi in _lattice_with_H_bounds(rng, bf, points):
+    lattice = _joint_law_checks(
+        rng, reports, label, bf, points, lambda comps, xs: joint_rmm_values(comps, z, xs, p),
+        marginals, (lows[:p] + ups[p:], ups[:p] + lows[p:]), 1e-10, 1e-12)
+    for x in lattice:
         for k in range(n):
             if bf.lower_G[k].value(x[k]) > bf.upper_G[k].value(x[k]) + 1e-12:
                 reports["marginal-order"].record(
@@ -752,15 +765,6 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
                     if abs(prod - 1.0) > 1e-10:
                         reports["star-products"].record(label, [i, j, x[i]], 1.0, prod)
 
-        for margins in marginals:
-            mid = joint_rmm_product(margins, z, x, p)
-            if not (lo <= mid + 1e-10 and mid <= hi + 1e-10):
-                reports["composed-sandwich"].record(label, x, (lo, hi), mid)
-        want_lo = joint_rmm_product(lows[:p] + ups[p:], z, x, p)
-        want_hi = joint_rmm_product(ups[:p] + lows[p:], z, x, p)
-        if abs(lo - want_lo) > 1e-12 or abs(hi - want_hi) > 1e-12:
-            reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
-
     unit = _unit_points(rng, points, n)
     columns = _columns(unit, n)
     # one table of the 2n bound generators serves the envelope and the full scan
@@ -787,15 +791,21 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
 def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instance: int = 1000) -> dict:
     """Order and identity statements for bound families of random p-box models.
 
-    Each instance's copula sandwiches, H bounds, rmm envelope and full
-    vertex scan are evaluated once over its stack of points
-    (:meth:`GeneratorVector.values`, :func:`H_bounds_values`,
-    :func:`rmm_envelope_values`, :func:`rmm_envelope_full_scan_values`, the
-    last two from one table of the bound generators) and checked point by
-    point.  Both envelope halves must equal the full vertex scan within
-    1e-12: the reduced inf scan, and the star-form sup
-    (``rmm-envelope-sup-bounded``, whose ``max_sup_gap`` diagnostic records
-    the largest absolute gap).
+    Each instance's copula sandwiches, H bounds, joint laws, rmm envelope
+    and full vertex scan are evaluated once over its stack of points and
+    checked point by point.  The stacked calls per instance are: the bound
+    and member copulas (:meth:`GeneratorVector.values`); the H bounds
+    (:func:`H_bounds_values`); six joint laws on the lattice points, one per
+    member model and one per bounding component list
+    (:func:`joint_marshall_values`, :func:`joint_maxmin_values` or
+    :func:`joint_rmm_values`); and, for rmm, the envelope and the full
+    vertex scan from one table of the bound generators
+    (:func:`rmm_envelope_values`, :func:`rmm_envelope_full_scan_values`).
+    The points themselves are drawn by one RNG call per stack.  The
+    defining-relation, dagger and star checks stay one point at a time.
+    Both envelope halves must equal the full vertex scan within 1e-12: the
+    reduced inf scan, and the star-form sup (``rmm-envelope-sup-bounded``,
+    whose ``max_sup_gap`` diagnostic records the largest absolute gap).
     """
     rng = philox_stream(seed, 307)
     checks: list[CheckReport] = []
@@ -871,8 +881,8 @@ def suite_montecarlo(seed: int, n_samples: int = 10**6, points: int = 20) -> dic
     xs = np.linspace(0.1, 2.9, points)
     ys = np.linspace(2.9, 0.05, points)
     agree = CheckReport("montecarlo-vs-exact", 0)
-    for x, y in zip(xs, ys):
-        want = joint_rmm_Hsigma(gens, margins, z, [float(x), float(y)])
+    wants = joint_rmm_Hsigma_values(gens, margins, z, [xs, ys]).tolist()
+    for x, y, want in zip(xs, ys, wants):
         est, stderr = monte_carlo_joint(model, [float(x), float(y)], n_samples, seed,
                                         reflected_tail=True)
         agree.instances += 1

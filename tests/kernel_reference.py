@@ -1,14 +1,18 @@
-"""Reference marshall and maxmin evaluators: the scalar loops and the grid copies.
+"""Reference marshall and maxmin evaluators and joint laws: the scalar loops and the grid copies.
 
 These are the one-point copula formulas and the dense grid evaluator the
 package ran before one array kernel per family served points, point
-stacks and grids, and the maxmin joint law as it evaluated the shock twice
-per subset.  The tests require the package to return the same floats.
+stacks and grids, and the one-point joint laws it ran before their array
+forms (the maxmin one as it evaluated the shock twice per subset).  The
+tests require the package to return the same floats.
 """
 
 import math
 
 import numpy as np
+
+from shockcopula.copulas import rmm_n
+from shockcopula.distfn import lifetime_max, lifetime_min
 
 
 def marshall_n(gens, u):
@@ -153,3 +157,28 @@ def joint_maxmin_H(components, shock, x, p):
         if fz_hi > fz_lo:
             total += weight * (fz_hi - fz_lo)
     return total
+
+
+def joint_marshall_H(components, shock, x):
+    """P(all max lifetimes <= x_i) = prod_i F_i(x_i) * F_Z(min_i x_i)."""
+    return math.prod(f.value(xi) for f, xi in zip(components, x)) * shock.value(min(x))
+
+
+def joint_rmm_product(components, shock, x, p):
+    """prod_T F_i(x_i) * prod_S (1 - F_j(x_j)) * max{0, F_Z(min_T x) - F_Z(max_S x)}."""
+    n = len(components)
+    ft = math.prod(components[i].value(x[i]) for i in range(p))
+    fs_hat = math.prod(1.0 - components[j].value(x[j]) for j in range(p, n))
+    delta = shock.value(min(x[:p])) - shock.value(max(x[p:]))
+    return ft * fs_hat * max(0.0, delta)
+
+
+def joint_rmm_Hsigma(gens, components, shock, x):
+    """The rmm copula of ``gens`` at C(G_T(x), 1 - G_S(x)), lifetimes built per call."""
+    n, p = gens.n, gens.split
+    args = []
+    for i in range(p):
+        args.append(lifetime_max(components[i], shock).value(x[i]))
+    for j in range(p, n):
+        args.append(1.0 - lifetime_min(components[j], shock).value(x[j]))
+    return rmm_n(gens.generators, args, p)

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,15 @@ import kernel_reference
 from shockcopula.copulas import (
     MAX_DIMENSION,
     GeneratorVector,
+    _grid_arrays,
     joint_marshall_H,
+    joint_marshall_values,
     joint_maxmin_H,
+    joint_maxmin_values,
     joint_rmm_Hsigma,
+    joint_rmm_Hsigma_values,
     joint_rmm_product,
+    joint_rmm_values,
     marshall2,
     marshall_n,
     maxmin2,
@@ -23,7 +29,7 @@ from shockcopula.copulas import (
     rmm_n,
     rmm_values,
 )
-from shockcopula.distfn import DiracStep, Discrete, Exponential, lifetime_max, lifetime_min
+from shockcopula.distfn import DiracStep, Discrete, Exponential, Uniform, lifetime_max, lifetime_min
 from shockcopula.genfn import (
     Generator,
     IdentityGenerator,
@@ -356,15 +362,26 @@ def test_joint_maxmin_asks_the_shock_once_per_distinct_argument(n, data):
     comps = data.draw(st.lists(st.sampled_from((X1, X2, X3, SHOCK)), min_size=n, max_size=n))
     shock = data.draw(st.sampled_from((SHOCK, X3, Exponential(0.7), DiracStep(2.0))))
     coordinate = st.one_of(st.sampled_from(LATTICE + (0.0,)), st.floats(-1.0, 8.0))
-    x = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+    points = data.draw(st.lists(st.lists(coordinate, min_size=n, max_size=n),
+                                min_size=1, max_size=6))
+    asked = set()
+    for x in points:
+        counted = _CountingShock(shock)
+        got = joint_maxmin_H(comps, counted, x, p)
+        assert got.hex() == kernel_reference.joint_maxmin_H(comps, shock, x, p).hex()
+        assert len(set(counted.args)) == len(counted.args)
+        # 0.0 joins min_T x and the min-type x_j only where some x_j is negative
+        assert len(counted.args) <= n - p + 1 + any(xj < 0.0 for xj in x[p:])
+        if min(x) >= 0.0:
+            assert len(counted.args) <= n - p + 1
+        asked.update(counted.args)
+    # a stack asks once per distinct argument of all its points, and for no other
     counted = _CountingShock(shock)
-    got = joint_maxmin_H(comps, counted, x, p)
-    assert got.hex() == kernel_reference.joint_maxmin_H(comps, shock, x, p).hex()
+    stacked = joint_maxmin_values(comps, counted, np.array(points).T, p)
+    assert [v.hex() for v in stacked.tolist()] == [
+        kernel_reference.joint_maxmin_H(comps, shock, x, p).hex() for x in points]
     assert len(set(counted.args)) == len(counted.args)
-    # 0.0 joins min_T x and the min-type x_j only where some x_j is negative
-    assert len(counted.args) <= n - p + 1 + any(xj < 0.0 for xj in x[p:])
-    if min(x) >= 0.0:
-        assert len(counted.args) <= n - p + 1
+    assert set(counted.args) == asked
 
 
 def test_joint_rmm_product_matches_enumeration():
@@ -420,6 +437,83 @@ def test_joint_laws_validate_coordinate_counts():
         joint_maxmin_H(comps, SHOCK, (1.0, 2.0), 2)
     with pytest.raises(ValueError):
         joint_rmm_product(comps, SHOCK, (1.0, 2.0, 3.0), 1)
+    with pytest.raises(ValueError, match="partition"):
+        joint_rmm_values(comps, SHOCK, ([1.0], [2.0]), 0)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        joint_maxmin_H((X1,) * (MAX_DIMENSION + 1), SHOCK, (1.0,) * (MAX_DIMENSION + 1), 1)
+    with pytest.raises(ValueError):
+        joint_marshall_values(comps, SHOCK, np.ones((3, 4)))
+    gens = GeneratorVector("rmm", (TruncatedLinear(0.5), TruncatedLinear(0.5, kind="rmm_g")), p=1)
+    with pytest.raises(ValueError):
+        joint_rmm_Hsigma(gens, comps, SHOCK, (1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="rmm generator vector"):
+        joint_rmm_Hsigma(GeneratorVector("marshall", (UnitGenerator("phi"),) * 2), comps, SHOCK,
+                         (1.0, 2.0))
+
+
+# coordinates on the lattice and on support points (of the discrete laws,
+# the Dirac and the Uniforms' ends), negative ones, and anything in between;
+# ties come from the sampled values
+_JOINT_COORDINATE = st.one_of(st.sampled_from(LATTICE + (0.0, -0.5, -2.0, 4.0, 5.0)),
+                              st.floats(-2.0, 8.0))
+# laws whose values are mostly not dyadic, so that products and sums taken in
+# another order round differently
+_JOINT_DISTRIBUTIONS = (
+    X1, X2, X3, SHOCK, Discrete(((0.5, 0.3), (2.0, 0.45), (4.5, 0.25))),
+    Discrete(((1.0, 0.1), (3.0, 0.7), (5.0, 0.2))), Exponential(0.7), Exponential(1.3),
+    Uniform(0.5, 4.0), Uniform(-1.0, 6.0), DiracStep(2.0),
+)
+
+
+def _joint_forms(n, p, data):
+    """(array form, one-point form, scalar reference) of each joint law, for drawn laws."""
+    comps = data.draw(st.lists(st.sampled_from(_JOINT_DISTRIBUTIONS), min_size=n, max_size=n))
+    shock = data.draw(st.sampled_from(_JOINT_DISTRIBUTIONS))
+    gens = GeneratorVector("rmm", tuple(
+        TruncatedLinear(data.draw(st.floats(0.05, 0.95)), scale=data.draw(st.floats(0.1, 1.0)),
+                        kind="rmm_f" if k < p else "rmm_g") for k in range(n)), p)
+    return [
+        (lambda xs: joint_marshall_values(comps, shock, xs),
+         lambda x: joint_marshall_H(comps, shock, x),
+         lambda x: kernel_reference.joint_marshall_H(comps, shock, x)),
+        (lambda xs: joint_maxmin_values(comps, shock, xs, p),
+         lambda x: joint_maxmin_H(comps, shock, x, p),
+         lambda x: kernel_reference.joint_maxmin_H(comps, shock, x, p)),
+        (lambda xs: joint_rmm_values(comps, shock, xs, p),
+         lambda x: joint_rmm_product(comps, shock, x, p),
+         lambda x: kernel_reference.joint_rmm_product(comps, shock, x, p)),
+        (lambda xs: joint_rmm_Hsigma_values(gens, comps, shock, xs),
+         lambda x: joint_rmm_Hsigma(gens, comps, shock, x),
+         lambda x: kernel_reference.joint_rmm_Hsigma(gens, comps, shock, x)),
+    ]
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_joint_law_values_equal_the_scalar_reference_bit_for_bit(n, data):
+    p = data.draw(st.integers(1, n - 1))
+    points = data.draw(st.lists(st.lists(_JOINT_COORDINATE, min_size=n, max_size=n),
+                                min_size=1, max_size=8))
+    # random interior coordinates give products of three or more factors that
+    # round differently in another order; the max block above the min block
+    # keeps the rmm law off 0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points += rng.uniform(0.0, 6.0, (16, n)).tolist()
+    points += [sorted(x, reverse=True) for x in points]
+    axes = [data.draw(st.lists(_JOINT_COORDINATE, min_size=1, max_size=3 if n <= 3 else 2))
+            for _ in range(n)]
+    for values, one_point, reference in _joint_forms(n, p, data):
+        want = [reference(x).hex() for x in points]
+        stacked = values(np.array(points).T)
+        assert stacked.shape == (len(points),)
+        assert [v.hex() for v in stacked.tolist()] == want
+        got = [one_point(x) for x in points]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == want
+        grid = values(_grid_arrays(axes))
+        assert grid.shape == tuple(len(a) for a in axes)
+        assert [v.hex() for v in grid.ravel().tolist()] == [
+            reference(list(x)).hex() for x in itertools.product(*axes)]
 
 
 # -- property tests ---------------------------------------------------------------

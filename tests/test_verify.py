@@ -295,6 +295,35 @@ def test_random_member_stays_inside_its_box():
             assert lo - 1e-12 <= member.value(x) <= hi + 1e-12, x
 
 
+def _lattice_points_one_by_one(rng, count, n):
+    """The lattice draw as one ``rng.choice`` per point."""
+    lattice = np.array(verify.COORDINATE_LATTICE)
+    return [[float(v) for v in rng.choice(lattice, size=n)] for _ in range(count)]
+
+
+def _unit_points_one_by_one(rng, count, n):
+    """The unit-cube draw as one ``rng.random`` per point."""
+    return [[float(v) for v in rng.random(n)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("draw, reference", [
+    (verify._lattice_points, _lattice_points_one_by_one),
+    (verify._unit_points, _unit_points_one_by_one),
+])
+def test_point_draws_equal_the_per_point_draws(draw, reference):
+    for seed in range(20):
+        for n in range(2, 8):
+            for count in (1, 7, 150):
+                ours, theirs = philox_stream(seed, n), philox_stream(seed, n)
+                got = draw(ours, count, n)
+                assert got == reference(theirs, count, n)
+                assert all(type(v) is float for point in got for v in point)
+                # the generator is left where the per-point draws leave it
+                # (the Philox state holds arrays, which compare by their repr)
+                assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+                assert ours.random() == theirs.random()
+
+
 # -- suites ------------------------------------------------------------------------
 
 
