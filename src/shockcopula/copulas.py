@@ -309,29 +309,45 @@ def _tables(us: Sequence[np.ndarray], *vectors: "GeneratorVector") -> tuple[tupl
     entry, made by a single ``np.array``.  Other arrays (the axes of a grid)
     are brought to one ndim and each group is a list of per-coordinate arrays.
     An entry outside [0, 1], or nan, raises the ValueError of a one-point call.
+    A coordinate of more than one entry is evaluated by one
+    :meth:`Generator.values` call per generator, which reads a step-function
+    lifetime's jump rows and calls any other generator once per entry; one
+    point is evaluated call by call, as a one-point call would be.
     """
     n = vectors[0].n
     if len(us) != n:
         raise ValueError(f"expected {n} coordinate arrays, got {len(us)}")
     if isinstance(us, np.ndarray):
         shape = us.shape[1:] or (1,)
-        rows = us.reshape(n, math.prod(shape)).tolist()
-        stacked = True
+        us = np.asarray(us, dtype=float).reshape(n, math.prod(shape))
     else:
         us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
         ndim = max(u.ndim for u in us)
         us = [u.reshape((1,) * (ndim - u.ndim) + u.shape) for u in us]
         shape = np.broadcast_shapes(*(u.shape for u in us))
-        rows = [u.ravel().tolist() for u in us]
-        stacked = all(u.shape == shape for u in us)
-    names = (f"u{k + 1}" for k in range(n))
-    checked = [[_check_unit(t, name) for t in row] for name, row in zip(names, rows)]
-    values = [[float(gen(t)) for t in ts] for gv in vectors for gen, ts in zip(gv.generators, checked)]
-    if stacked:
-        table = np.array(checked + values)
+        if all(u.shape == shape for u in us):
+            us = np.array([u.ravel() for u in us])
+    _require_unit(us)
+    rows = us.tolist() if isinstance(us, np.ndarray) else [u.ravel().tolist() for u in us]
+    values = [gen.values(u) if len(row) > 1 else [gen(t) for t in row]
+              for gv in vectors for gen, u, row in zip(gv.generators, us, rows)]
+    if isinstance(us, np.ndarray):
+        table = np.array(rows + values)
         return shape, [table[k:k + n] for k in range(0, len(table), n)]
-    return shape, [us] + [[np.array(v).reshape(u.shape) for v, u in zip(values[k:k + n], us)]
-                          for k in range(0, len(values), n)]
+    values = [np.asarray(v, dtype=float).reshape(u.shape) for v, u in zip(values, us * len(vectors))]
+    return shape, [us] + [values[k:k + n] for k in range(0, len(values), n)]
+
+
+def _require_unit(us: Sequence[np.ndarray]) -> None:
+    """Raise the ValueError of a one-point call at the first entry, in
+    coordinate order, that lies outside [0, 1] or is nan.  A point stack,
+    an ``(n, E)`` array, is checked whole first."""
+    if isinstance(us, np.ndarray) and ((us >= 0.0) & (us <= 1.0)).all():
+        return
+    for k, u in enumerate(us):
+        inside = (u >= 0.0) & (u <= 1.0)
+        if not inside.all():
+            _check_unit(u.flat[inside.argmin()], f"u{k + 1}")
 
 
 def _grid_arrays(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -472,20 +488,15 @@ def _coordinate_arrays(
     return [np.asarray(x, dtype=float) for x in xs]
 
 
-def _values_at(fn: DistributionFn, x: np.ndarray) -> np.ndarray:
-    """``fn.value`` at every entry of ``x``, in the shape of ``x``."""
-    return np.array([fn.value(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
 def _product_of_values(fns: Sequence[DistributionFn], xs: Sequence[np.ndarray]) -> np.ndarray:
     """``prod_k fns[k].value(xs[k])`` entrywise, multiplied in ascending k."""
-    return functools.reduce(np.multiply, (_values_at(f, x) for f, x in zip(fns, xs)))
+    return functools.reduce(np.multiply, (f.values(x) for f, x in zip(fns, xs)))
 
 
 def _shock_at(shock: DistributionFn, *args: np.ndarray) -> list[np.ndarray]:
     """``shock.value`` at every entry of the arrays, asked once per distinct argument."""
     distinct, inverse = np.unique(np.concatenate([a.ravel() for a in args]), return_inverse=True)
-    fz = _values_at(shock, distinct)[inverse]
+    fz = np.array([shock.value(t) for t in distinct.tolist()], dtype=float)[inverse]
     ends = np.cumsum([a.size for a in args])[:-1]
     return [part.reshape(a.shape) for part, a in zip(np.split(fz, ends), args)]
 
@@ -504,10 +515,11 @@ def joint_marshall_values(
     broadcast together: a stack of m points is n arrays of length m (an
     ``(n, m)`` array is one), a grid is n axes each shaped to run along its
     own dimension.  The result has the broadcast shape.  Each component is
-    evaluated once per entry of its own array and the shock once per
-    distinct argument of the whole call.  The product runs over ascending i
-    with elementwise operations only, so every entry is the same float
-    whatever the shape of the call.
+    evaluated at every entry of its own array by one
+    :meth:`~shockcopula.distfn.DistributionFn.values` call, and the shock
+    once per distinct argument of the whole call.  The product runs over
+    ascending i with elementwise operations only, so every entry is the same
+    float whatever the shape of the call.
     """
     xs = _coordinate_arrays(components, xs)
     (fz,) = _shock_at(shock, functools.reduce(np.minimum, xs))
@@ -535,8 +547,10 @@ def joint_maxmin_values(
     positive, and the terms are summed from 0.0 in mask order.  Both F_Z
     arguments are min_T x or some x_j of the min block (the max also 0 where
     every x_j of S\\K is negative), so the shock, asked once per distinct
-    argument of the whole call, sees at most n - p + 1 of them per point for
-    x >= 0.  The temporaries hold 2^(n-p) entries per point.
+    argument of a slab, sees at most n - p + 1 of them per point for x >= 0.
+    The temporaries hold 2^(n-p) entries per point, so the points go slab by
+    slab, as in :meth:`GeneratorVector.values`: a run of columns of a point
+    stack, or a run along one axis of a grid.
     """
     n = len(components)
     xs = _coordinate_arrays(components, xs)
@@ -544,6 +558,21 @@ def joint_maxmin_values(
         raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
+    shape = np.broadcast_shapes(*(x.shape for x in xs))
+    if all(x.shape == shape for x in xs):
+        group = np.array([x.ravel() for x in xs])
+    else:
+        group = [x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in xs]
+    out = np.empty(shape)
+    _by_slabs(lambda part: (_joint_maxmin_slab(components, shock, part, p),), (group,), (out,),
+              1 << (n - p))
+    return out
+
+
+def _joint_maxmin_slab(components: Sequence[DistributionFn], shock: DistributionFn,
+                       xs: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """:func:`joint_maxmin_values` on one slab of its coordinate arrays."""
+    n = len(components)
     shape = np.broadcast_shapes(*(x.shape for x in xs))
     block = np.empty((3, 1 << (n - p)) + shape)
     lo, hi, weight = block
@@ -556,7 +585,7 @@ def joint_maxmin_values(
         np.minimum(lo[:k], x, out=lo[k:2 * k])
         block[1:, k:2 * k] = block[1:, :k]
         np.maximum(hi[:k], x, out=hi[:k])
-        weight[:k] *= _values_at(components[p + b], x)
+        weight[:k] *= components[p + b].values(x)
     # the last mask, K = S, leaves S\K empty: its F_Z term is 0, not asked
     fz_hi, fz_lo = _shock_at(shock, lo, hi[:-1])
     fz_lo = np.concatenate([fz_lo, np.zeros((1,) + shape)])
@@ -587,7 +616,7 @@ def joint_rmm_values(
         raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
     ft = _product_of_values(components[:p], xs[:p])
     fs_hat = functools.reduce(np.multiply,
-                              (1.0 - _values_at(components[j], xs[j]) for j in range(p, n)))
+                              (1.0 - components[j].values(xs[j]) for j in range(p, n)))
     fz_t, fz_s = _shock_at(shock, functools.reduce(np.minimum, xs[:p]),
                            functools.reduce(np.maximum, xs[p:]))
     return ft * fs_hat * np.maximum(0.0, fz_t - fz_s)
@@ -615,8 +644,8 @@ def joint_rmm_Hsigma_values(
     if len(components) != n:
         raise ValueError(f"expected {n} components, got {len(components)}")
     xs = _coordinate_arrays(components, xs)
-    args = [_values_at(lifetime_max(components[i], shock), xs[i]) for i in range(p)]
-    args += [1.0 - _values_at(lifetime_min(components[j], shock), xs[j]) for j in range(p, n)]
+    args = [lifetime_max(components[i], shock).values(xs[i]) for i in range(p)]
+    args += [1.0 - lifetime_min(components[j], shock).values(xs[j]) for j in range(p, n)]
     return gens.values(args)
 
 

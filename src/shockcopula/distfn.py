@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "DistributionFn",
     "Exponential",
@@ -99,6 +101,17 @@ class DistributionFn(ABC):
         a row to the preimage table); missing a jump is not.
         """
 
+    def values(self, x) -> np.ndarray:
+        """F at every entry of a float array, in its shape: one ``value`` call per entry.
+
+        Discrete (a table lookup) and DiracStep (a comparison) override
+        this, and so do the composites, with numpy arithmetic on their parts'
+        arrays.  Every override makes the float operations of ``value`` in
+        the same order, so each entry is the float ``value`` returns.
+        """
+        x = np.asarray(x, dtype=float)
+        return np.array([self.value(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
     # -- level-crossing search -------------------------------------------
 
     def smallest_preimage(self, u: float) -> float:
@@ -146,6 +159,12 @@ class _LimitTable(NamedTuple):
     the limits themselves non-monotone.  The limit columns are arrays of
     doubles, which hold no float objects and pass through no tuple free list,
     so tables add little to peak memory.
+
+    ``steps`` says that the table shows no continuous stretch: F(x-) is 0 at
+    the first jump, F(x+) is 1 at the last, and F(x+) at each jump equals
+    F(x-) at the next.  A monotone F with such a table is a step function,
+    constant between its jumps, so no preimage falls inside a stretch; the
+    extended generators read point stacks from their jump rows there.
     """
 
     xs: tuple[float, ...]
@@ -153,6 +172,7 @@ class _LimitTable(NamedTuple):
     rights: array
     rising: array
     falling: array
+    steps: bool
 
     @classmethod
     def of(cls, fn: DistributionFn) -> "_LimitTable":
@@ -161,7 +181,8 @@ class _LimitTable(NamedTuple):
         rights = array("d", [fn.right_limit(x) for x in xs])
         rising = array("d", accumulate(map(max, lefts, rights), max))
         falling = array("d", accumulate(map(min, lefts[::-1], rights[::-1]), min))[::-1]
-        return cls(xs, lefts, rights, rising, falling)
+        steps = bool(xs) and lefts[0] == 0.0 and rights[-1] == 1.0 and rights[:-1] == lefts[1:]
+        return cls(xs, lefts, rights, rising, falling, steps)
 
     def stretch(self, k: int) -> tuple[float | None, float | None, float | None, float | None]:
         """(lo, F(lo+), hi, F(hi-)) of the continuous stretch between jumps k-1 and k.
@@ -369,6 +390,9 @@ class DiracStep(DistributionFn):
     def jump_points(self) -> tuple[float, ...]:
         return (self.location,)
 
+    def values(self, x) -> np.ndarray:
+        return np.where(np.asarray(x, dtype=float) >= self.location, 1.0, 0.0)
+
     def smallest_preimage(self, u: float) -> float:
         _require_interior(u)
         return self.location
@@ -418,12 +442,15 @@ class Discrete(DistributionFn):
     """Finite support: ``points`` is a sequence of (x, mass) pairs.
 
     Masses must be positive and sum to 1 within 1e-12.  Duplicate support
-    coordinates are merged.  Point values are right-continuous.
+    coordinates are merged.  Point values are right-continuous.  ``_table``
+    holds the support and the cumulative masses after a leading 0.0 as
+    arrays, so :meth:`values` is one ``searchsorted`` and one gather.
     """
 
     points: tuple[tuple[float, float], ...]
     _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _table: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __init__(self, points) -> None:
         merged: dict[float, float] = {}
@@ -449,10 +476,15 @@ class Discrete(DistributionFn):
         object.__setattr__(self, "points", tuple((x, merged[x]) for x in xs))
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_table", (np.array(xs), np.array([0.0] + cum)))
 
     def value(self, x: float) -> float:
         i = bisect_right(self._xs, x)
         return self._cum[i - 1] if i else 0.0
+
+    def values(self, x) -> np.ndarray:
+        xs, cum = self._table
+        return cum[np.searchsorted(xs, np.asarray(x, dtype=float), side="right")]
 
     def left_limit(self, x: float) -> float:
         i = bisect_left(self._xs, x)
@@ -592,6 +624,9 @@ class Product(DistributionFn):
     def value(self, x: float) -> float:
         return self.first.value(x) * self.second.value(x)
 
+    def values(self, x) -> np.ndarray:
+        return self.first.values(x) * self.second.values(x)
+
     def left_limit(self, x: float) -> float:
         return self.first.left_limit(x) * self.second.left_limit(x)
 
@@ -619,6 +654,10 @@ class SurvivalComplementProduct(DistributionFn):
 
     def value(self, x: float) -> float:
         return _survival_join(self.first.value(x), self.second.value(x))
+
+    def values(self, x) -> np.ndarray:
+        a, b = self.first.values(x), self.second.values(x)
+        return np.where((a == 1.0) | (b == 1.0), 1.0, a + b - a * b)
 
     def left_limit(self, x: float) -> float:
         return _survival_join(self.first.left_limit(x), self.second.left_limit(x))
@@ -653,6 +692,9 @@ class Convex(DistributionFn):
 
     def value(self, x: float) -> float:
         return self._mix(self.first.value(x), self.second.value(x))
+
+    def values(self, x) -> np.ndarray:
+        return self.weight * self.first.values(x) + (1.0 - self.weight) * self.second.values(x)
 
     def left_limit(self, x: float) -> float:
         return self._mix(self.first.left_limit(x), self.second.left_limit(x))
@@ -690,6 +732,12 @@ class Clamp(DistributionFn):
 
     def value(self, x: float) -> float:
         return self._clip(self.base.value(x), self.lower.value(x), self.upper.value(x))
+
+    def values(self, x) -> np.ndarray:
+        b, lo, hi = self.base.values(x), self.lower.values(x), self.upper.values(x)
+        # the choices of min(max(b, lo), hi), nan included
+        b = np.where(lo > b, lo, b)
+        return np.where(hi < b, hi, b)
 
     def left_limit(self, x: float) -> float:
         return self._clip(self.base.left_limit(x), self.lower.left_limit(x), self.upper.left_limit(x))
@@ -732,6 +780,10 @@ class Switch(DistributionFn):
 
     def value(self, x: float) -> float:
         return self.before.value(x) if x < self.point else self.after.value(x)
+
+    def values(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.where(x < self.point, self.before.values(x), self.after.values(x))
 
     def left_limit(self, x: float) -> float:
         return self.before.left_limit(x) if x <= self.point else self.after.left_limit(x)

@@ -44,6 +44,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .distfn import (
     DistributionFn,
     Product,
@@ -122,6 +124,18 @@ class Generator(ABC):
     @abstractmethod
     def __call__(self, u: float) -> float:
         ...
+
+    def values(self, u) -> np.ndarray:
+        """The generator at every entry of a float array, in its shape.
+
+        This form calls the generator once per entry.  Extended generators
+        override it with a read of their jump rows where the lifetime is a
+        step function, and the rmm wrappers with arithmetic on their base's
+        array; every entry gets the float, or raises the error, of a call at
+        that entry.
+        """
+        u = np.asarray(u, dtype=float)
+        return np.array([self(t) for t in u.ravel().tolist()], dtype=float).reshape(u.shape)
 
     def breakpoints(self) -> tuple[float, ...]:
         """u-coordinates where the generator changes branch (may be empty)."""
@@ -220,6 +234,55 @@ def _remembered_call(gen, u: float) -> float:
     return value
 
 
+def _step_table(lifetime: DistributionFn, rows: dict[float, tuple[float, ...]],
+                shift: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The jump rows of an extended generator as arrays, where its lifetime
+    is a step function (``_LimitTable.steps``); None elsewhere.
+
+    On a step function the smallest preimage of every u in (0, 1) is the
+    jump ``bisect_left(rising, u)`` of the limit table.  The table holds,
+    per jump, ``(lo, hi, shift, scale, edge_lo, edge_hi)``: the outer
+    branches, the middle branch ``(u - shift) / scale`` (shift 0 and scale
+    F_Z for max kinds, shift F_Z and scale 1 - F_Z for chi; u - 0.0 is u)
+    and the middle branch's ends, plus a copy of the last jump for
+    arguments past the last rising limit.
+    """
+    t = lifetime._limits
+    if not t.steps:
+        return None
+    cols = []
+    for x in t.xs:
+        lo, hi, z, edge_lo, edge_hi = rows[x]
+        cols.append((lo, hi, z, 1.0 - z, edge_lo, edge_hi) if shift
+                    else (lo, hi, 0.0, z, edge_lo, edge_hi))
+    return np.array(t.rising), np.array(cols + cols[-1:]).T
+
+
+def _step_values(gen, u) -> np.ndarray:
+    """``gen.values(u)`` of an extended generator; both classes use it as ``values``.
+
+    On a step-function lifetime every entry reads its jump row, found by one
+    ``searchsorted`` on the rising limits, and takes the branch
+    ``_value_at`` takes, with the same comparisons and the same single
+    division.  An entry that is nan, or would divide by a zero scale on the
+    middle branch, is handed to the scalar call, which raises.  Any other
+    lifetime calls the generator once per entry.
+    """
+    if gen._steps is None:
+        return Generator.values(gen, u)
+    u = np.asarray(u, dtype=float)
+    rising, table = gen._steps
+    lo, hi, shift, scale, edge_lo, edge_hi = table[:, np.searchsorted(rising, u)]
+    inside = (u > 0.0) & (u < 1.0)
+    middle = inside & (edge_lo <= u) & (u <= edge_hi)
+    out = np.where(inside, np.where(u < edge_lo, lo, hi), np.where(u <= 0.0, 0.0, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(u - shift, scale, out=out, where=middle)
+    for i in np.flatnonzero(np.isnan(u) | (middle & (scale == 0.0))).tolist():
+        out.flat[i] = gen(u.flat[i])
+    return out
+
+
 @dataclass(frozen=True)
 class ExtendedMaxGenerator(Generator):
     """phi (or psi) extended from a max-type lifetime G = F_X * F_Z.
@@ -229,6 +292,8 @@ class ExtendedMaxGenerator(Generator):
     preimage at a jump reads them instead of asking the distributions again.
     A call at the argument of the previous call returns the value found then
     (:func:`_remembered_call`); :meth:`value_with_largest_x0` always searches.
+    Where the lifetime is a step function, :meth:`values` reads a stack from
+    the rows held as arrays (:func:`_step_values`).
     """
 
     component: DistributionFn
@@ -237,12 +302,14 @@ class ExtendedMaxGenerator(Generator):
     lifetime: Product = field(init=False, repr=False, compare=False)
     rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
     _last: tuple[float, float] = field(default=_NO_CALL, init=False, repr=False, compare=False)
+    _steps: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _MAX_KINDS:
             raise ValueError(f"kind must be phi or psi, got {self.kind!r}")
         object.__setattr__(self, "lifetime", lifetime_max(self.component, self.shock))
         object.__setattr__(self, "rows", {x: self._row(x) for x in self.lifetime.jump_points()})
+        object.__setattr__(self, "_steps", _step_table(self.lifetime, self.rows, shift=False))
 
     def _row(self, x0: float) -> tuple[float, ...]:
         lo = self.component.left_limit(x0)
@@ -251,6 +318,7 @@ class ExtendedMaxGenerator(Generator):
         return lo, hi, z, lo * z, hi * z
 
     __call__ = _remembered_call
+    values = _step_values
 
     def value_with_largest_x0(self, u: float) -> float:
         u = float(u)
@@ -288,7 +356,8 @@ class ExtendedMinGenerator(Generator):
     """chi extended from a min-type lifetime G = F_Y + F_Z - F_Y F_Z.
 
     ``rows`` maps each jump point y_j of the lifetime to ``(F_Y(y_j-),
-    F_Y(y_j+), F_Z(y_j), v_l, v_u)``, and remembers its last call, as
+    F_Y(y_j+), F_Z(y_j), v_l, v_u)``, remembers its last call and reads
+    stacks on a step-function lifetime from its rows, as
     :class:`ExtendedMaxGenerator` does.
     """
 
@@ -298,10 +367,12 @@ class ExtendedMinGenerator(Generator):
     lifetime: SurvivalComplementProduct = field(init=False, repr=False, compare=False)
     rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
     _last: tuple[float, float] = field(default=_NO_CALL, init=False, repr=False, compare=False)
+    _steps: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lifetime", lifetime_min(self.component, self.shock))
         object.__setattr__(self, "rows", {y: self._row(y) for y in self.lifetime.jump_points()})
+        object.__setattr__(self, "_steps", _step_table(self.lifetime, self.rows, shift=True))
 
     def _row(self, y0: float) -> tuple[float, ...]:
         lo = self.component.left_limit(y0)
@@ -310,6 +381,7 @@ class ExtendedMinGenerator(Generator):
         return lo, hi, z, _survival_join(lo, z), _survival_join(hi, z)
 
     __call__ = _remembered_call
+    values = _step_values
 
     def value_with_largest_x0(self, v: float) -> float:
         v = float(v)
@@ -390,6 +462,10 @@ class RMMFromPhi(Generator):
             return 0.0
         return self.base(u) - u
 
+    def values(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        return np.where((u <= 0.0) | (u >= 1.0), 0.0, self.base.values(u) - u)
+
     def breakpoints(self) -> tuple[float, ...]:
         return self.base.breakpoints()
 
@@ -412,6 +488,10 @@ class RMMFromChi(Generator):
         if w >= 1.0:
             return 0.0
         return 1.0 - w - self.base(1.0 - w)
+
+    def values(self, w) -> np.ndarray:
+        w = np.asarray(w, dtype=float)
+        return np.where((w <= 0.0) | (w >= 1.0), 0.0, 1.0 - w - self.base.values(1.0 - w))
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(sorted(1.0 - b for b in self.base.breakpoints()))

@@ -50,8 +50,6 @@ from .distfn import (
     PiecewiseLinearWithJumps,
     Uniform,
     from_spec as dist_from_spec,
-    lifetime_max,
-    lifetime_min,
     to_spec as dist_to_spec,
 )
 from .genfn import Generator, extend_chi, extend_phi, to_rmm
@@ -285,17 +283,17 @@ class BoundFamily:
 
 
 def build_bounds(model: ShockModel) -> BoundFamily:
+    """The bound generators of a model, and its bound lifetimes read from them.
+
+    Each extended generator builds its lifetime once; ``lower_G[k]`` is the
+    lifetime of the generator extended from the lower bound of component k,
+    which for an rmm min-type coordinate is the base of ``upper_gen``'s
+    generator k (the order reversal).
+    """
     z = model.exogenous
     n, p = model.n, model.split
     lows = [box.lower for box in model.endogenous]
     ups = [box.upper for box in model.endogenous]
-
-    lower_G: list[DistributionFn] = []
-    upper_G: list[DistributionFn] = []
-    for k in range(n):
-        make = lifetime_max if k < p else lifetime_min
-        lower_G.append(make(lows[k], z))
-        upper_G.append(make(ups[k], z))
 
     lo_gens: list[Generator] = []
     hi_gens: list[Generator] = []
@@ -317,6 +315,12 @@ def build_bounds(model: ShockModel) -> BoundFamily:
             lo_gens.append(to_rmm(extend_chi(ups[k], z)))
             hi_gens.append(to_rmm(extend_chi(lows[k], z)))
 
+    if model.family == "rmm":
+        lower_G = [g.base.lifetime for g in lo_gens[:p] + hi_gens[p:]]
+        upper_G = [g.base.lifetime for g in hi_gens[:p] + lo_gens[p:]]
+    else:
+        lower_G = [g.lifetime for g in lo_gens]
+        upper_G = [g.lifetime for g in hi_gens]
     gv_p = None if model.family == "marshall" else p
     return BoundFamily(
         model.family,
@@ -395,8 +399,7 @@ def H_bounds_values(bf: BoundFamily, xs: Sequence[np.ndarray]) -> tuple[np.ndarr
     coordinate enters through the survival function of the opposite bound.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
-    lo, hi = ([np.array([G.value(t) for t in x.ravel().tolist()]).reshape(x.shape)
-               for G, x in zip(Gs, xs)] for Gs in (bf.lower_G, bf.upper_G))
+    lo, hi = ([G.values(x) for G, x in zip(Gs, xs)] for Gs in (bf.lower_G, bf.upper_G))
     if bf.family == "rmm":
         p = bf.split
         lo[p:], hi[p:] = [1.0 - h for h in hi[p:]], [1.0 - l for l in lo[p:]]

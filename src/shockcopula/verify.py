@@ -40,8 +40,6 @@ from .distfn import (
     Exponential,
     Switch,
     Uniform,
-    lifetime_max,
-    lifetime_min,
 )
 from .genfn import extend_chi, extend_phi, to_rmm, TruncatedLinear
 from .imprecise import (
@@ -544,10 +542,6 @@ def suite_oracles(seed: int, models_per_family: int = 100, points_per_model: int
             p = model.split
             bf = build_bounds(model)
             gens = bf.lower_gen
-            lifetimes = [
-                lifetime_max(margins[k], z) if k < p else lifetime_min(margins[k], z)
-                for k in range(n)
-            ]
             direct.instances += 1
             composed.instances += 1
             points = _lattice_points(rng, points_per_model, n)
@@ -556,8 +550,8 @@ def suite_oracles(seed: int, models_per_family: int = 100, points_per_model: int
                 composed_values = joint_rmm_Hsigma_values(gens, margins, z, xs)
                 direct_values = joint_rmm_values(margins, z, xs, p)
             else:
-                composed_values = gens.values(
-                    [[g.value(x[k]) for x in points] for k, g in enumerate(lifetimes)])
+                # the model is precise: lower_G are the lifetimes of its marginals
+                composed_values = gens.values([G.values(x) for G, x in zip(bf.lower_G, xs)])
                 direct_values = (joint_marshall_values(margins, z, xs) if family == "marshall"
                                  else joint_maxmin_values(margins, z, xs, p))
             for x, got_direct, got_composed in zip(points, direct_values.tolist(),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference
+from shockcopula import copulas
 from shockcopula.copulas import (
     MAX_DIMENSION,
     GeneratorVector,
@@ -29,7 +30,17 @@ from shockcopula.copulas import (
     rmm_n,
     rmm_values,
 )
-from shockcopula.distfn import DiracStep, Discrete, Exponential, Uniform, lifetime_max, lifetime_min
+from shockcopula.distfn import (
+    Clamp,
+    Convex,
+    DiracStep,
+    Discrete,
+    Exponential,
+    Product,
+    Uniform,
+    lifetime_max,
+    lifetime_min,
+)
 from shockcopula.genfn import (
     Generator,
     IdentityGenerator,
@@ -514,6 +525,34 @@ def test_joint_law_values_equal_the_scalar_reference_bit_for_bit(n, data):
         assert grid.shape == tuple(len(a) for a in axes)
         assert [v.hex() for v in grid.ravel().tolist()] == [
             reference(list(x)).hex() for x in itertools.product(*axes)]
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (4, 1), (4, 3), (6, 2)])
+def test_joint_maxmin_slabs_give_the_one_slab_floats_bit_for_bit(monkeypatch, n, p):
+    rng = np.random.default_rng(1000 * n + p)
+    # step composites (read from their parts' arrays) next to the drawn laws
+    laws = _JOINT_DISTRIBUTIONS + (Convex(0.3, X1, X2), Clamp(X3, X1, X2),
+                                   Product(X1, DiracStep(2.0)))
+    comps = [laws[k] for k in rng.integers(0, len(laws), n)]
+    shock = laws[rng.integers(0, len(laws))]
+    points = np.concatenate([rng.choice(np.array(LATTICE + (-0.5, 4.0)), (n, 9)),
+                             rng.uniform(-1.0, 6.0, (n, 4))], axis=1)
+    axes = _grid_arrays([rng.uniform(-1.0, 6.0, 2 + k % 3) for k in range(n)])
+    whole = [joint_maxmin_values(comps, shock, xs, p) for xs in (points, axes)]
+    slabs = []
+    kernel = copulas._joint_maxmin_slab
+    monkeypatch.setattr(copulas, "_joint_maxmin_slab",
+                        lambda *args: slabs.append(1) or kernel(*args))
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(copulas, "_SLAB_POINTS", cap)
+        for xs, want in zip((points, axes), whole):
+            slabs.clear()
+            got = joint_maxmin_values(comps, shock, xs, p)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (cap, n, p)
+            # at most 8 * cap entries of 2^(n - p) per slab, one point at least
+            budget = max(1, min(cap, 8 * cap >> (n - p)))
+            assert len(slabs) >= math.ceil(want.size / budget) > 1
 
 
 # -- property tests ---------------------------------------------------------------

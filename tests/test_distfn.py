@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -419,3 +421,82 @@ def test_continuous_preimages_take_at_most_half_the_bisection_evaluations(f):
             ours += n
             theirs += n_ref
     assert 2 * ours <= theirs, (ours, theirs)
+
+
+# -- array values ------------------------------------------------------------
+
+_COORDS = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def _discretes(draw):
+    xs = draw(st.lists(_COORDS, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 7), min_size=len(xs), max_size=len(xs)))
+    # masses like 1/3 whose running sum rounds away from the exact fractions
+    return Discrete([(x, w / sum(weights)) for x, w in zip(xs, weights)])
+
+
+_LEAVES = st.one_of(
+    _discretes(),
+    _COORDS.map(DiracStep),
+    st.sampled_from([Exponential(0.7), Uniform(0.0, 2.0)]),
+)
+
+
+def _switch(point, before, other):
+    # after = 1 - (1 - before)(1 - other) lies above before, so the splice cannot drop
+    return Switch(point, before, SurvivalComplementProduct(before, other))
+
+
+def _composites(children):
+    return st.one_of(
+        st.builds(Product, children, children),
+        st.builds(SurvivalComplementProduct, children, children),
+        st.builds(Convex, st.sampled_from([0.0, 0.3, 1.0 / 3.0, 1.0]), children, children),
+        st.builds(Clamp, children, children, children),
+        st.builds(_switch, _COORDS, children, children),
+    )
+
+
+_NESTED = st.recursive(_LEAVES, _composites, max_leaves=6)
+
+
+def _edge_arguments(fn):
+    """Every jump point and one float either side of it, points outside the
+    support, signed zeros and infinities."""
+    inf = float("inf")
+    xs = {-inf, inf, -0.0, 0.0, -5.0, 10.0}
+    for x in fn.jump_points():
+        xs.update((x, math.nextafter(x, -inf), math.nextafter(x, inf)))
+    return sorted(xs) + [-0.0]
+
+
+@given(_NESTED)
+@settings(max_examples=150, deadline=None)
+# a mixture that rounds otherwise as w*(a - b) + b, and a band with its
+# lower side above its upper one, where min(max(b, lo), hi) is hi
+@example(Convex(0.3, discrete((0.0, 1 / 7), (1.0, 6 / 7)), discrete((0.5, 2 / 7), (2.0, 5 / 7))))
+@example(Clamp(DiracStep(5.0), DiracStep(0.0), discrete((1.0, 0.5), (2.0, 0.5))))
+def test_values_equal_the_scalar_value_bit_for_bit(fn):
+    # the overriding kinds, nested at random among themselves and with the
+    # continuous kinds, which keep one value call per entry
+    xs = _edge_arguments(fn)
+    want = [fn.value(x).hex() for x in xs]
+    got = fn.values(np.array(xs))
+    assert got.shape == (len(xs),)
+    assert [v.hex() for v in got.tolist()] == want
+    # any shape, entry by entry
+    grid = np.array(xs[: len(xs) // 2 * 2]).reshape(2, -1)
+    assert [v.hex() for v in fn.values(grid).ravel().tolist()] == want[: grid.size]
+
+
+def test_step_tables_are_read_from_the_limits():
+    z = discrete((1.0, 0.5), (2.0, 0.5))
+    assert Product(discrete((0.5, 1.0)), z)._limits.steps
+    assert Convex(0.3, z, DiracStep(1.5))._limits.steps
+    # a continuous stretch anywhere, or no jump at all, is not a step function
+    assert not Product(Uniform(0.0, 2.0), z)._limits.steps
+    assert not SurvivalComplementProduct(Exponential(1.0), z)._limits.steps
+    assert not Product(Exponential(1.0), Exponential(2.0))._limits.steps
+    # a continuous part that the other factor hides leaves steps
+    assert Product(Uniform(0.0, 1.0), DiracStep(2.0))._limits.steps

@@ -4,6 +4,8 @@ import math
 import sys
 import threading
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -529,3 +531,100 @@ def test_threads_sharing_a_generator_read_whole_memos():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
+
+
+# -- stacks read from the jump table -------------------------------------------
+
+
+def _stack_levels(gen, extra):
+    """0 and 1, the lifetime's limits and both branch edges at every jump, one
+    float either side of each, random levels, and their reflections 1 - u,
+    where the rmm_g wrapper asks its base."""
+    levels = {0.0, 1.0, *extra}
+    for x in gen.lifetime.jump_points():
+        for level in (gen.lifetime.left_limit(x), gen.lifetime.right_limit(x), *gen.rows[x][3:]):
+            levels.update((level, math.nextafter(level, -1.0), math.nextafter(level, 2.0)))
+    levels = sorted(levels)
+    return levels + [1.0 - u for u in levels] + [-0.0, -1.0, 2.0]
+
+
+@given(_components, _jump_shocks, st.lists(st.floats(0.0, 1.0), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_stacked_values_equal_scalar_calls_bit_for_bit(component, shock, extra):
+    steps = all(isinstance(d, (Discrete, DiracStep)) for d in (component, shock))
+    for make in (extend_phi, extend_psi, extend_chi):
+        gen = make(component, shock)
+        # only a lifetime whose limit table shows no continuous stretch is read from the table
+        assert (gen._steps is not None) == gen.lifetime._limits.steps
+        assert gen._steps is not None or not steps
+        args = _stack_levels(gen, extra)
+        for g in (gen, to_rmm(gen)):
+            want = [_outcome(make(component, shock) if g is gen else to_rmm(make(component, shock)), u)
+                    for u in args]
+            got = g.values(np.array(args))
+            assert [v.hex() for v in got.tolist()] == want, g.kind
+            assert [v.hex() for v in g.values(np.array(args[:4]).reshape(2, 2)).ravel().tolist()] \
+                == want[:4]
+            with pytest.raises(ValueError, match="got nan"):
+                g.values(np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("base", [
+    IdentityGenerator(),
+    UnitGenerator(kind="psi"),
+    IdentityGenerator(kind="chi"),
+    PiecewiseLinearGenerator("phi", (0.0, 0.3, 1.0), (0.0, 0.5, 1.0)),
+    PiecewiseLinearGenerator("chi", (0.0, 0.6, 1.0), (0.0, 0.2, 1.0)),
+], ids=lambda g: f"{type(g).__name__}-{g.kind}")
+def test_rmm_wrappers_stack_closed_form_bases_as_scalar_calls(base):
+    # these bases answer nan, and the wrappers' scalar form hands it on
+    gen = to_rmm(base)
+    args = [0.0, -0.0, 5e-324, 0.25, 0.3, 0.4, 0.6, 1.0 - 2.0 ** -53, 1.0,
+            -1.0, 2.0, math.inf, -math.inf, math.nan]
+    got = gen.values(np.array(args))
+    assert [v.hex() for v in got.tolist()] == [gen(u).hex() for u in args]
+
+
+@pytest.mark.parametrize("make, z, shock_at", [(extend_phi, 0.0, 1.0), (extend_chi, 1.0, 2.0)])
+def test_a_stack_entry_on_a_degenerate_middle_branch_raises_as_a_call(make, z, shock_at):
+    # No well-formed model reaches this branch: a shock value of 0 (phi) or 1
+    # (chi) puts both ends of the middle branch at 0 or 1.  The first jump's
+    # row is set by hand so that it does, in the dict and in the table alike.
+    from shockcopula.genfn import _step_table
+
+    gen = make(Discrete([(1.0, 0.25), (2.0, 0.75)]), DiracStep(shock_at))
+    x0 = gen.lifetime.jump_points()[0]
+    u = gen.lifetime.right_limit(x0)
+    assert 0.0 < u < 1.0 and gen.lifetime.smallest_preimage(u) == x0
+    lo, hi = gen.rows[x0][:2]
+    gen.rows[x0] = (lo, hi, z, 0.5 * u, 0.5 * (1.0 + u))
+    object.__setattr__(gen, "_steps", _step_table(gen.lifetime, gen.rows, gen.kind == "chi"))
+    with pytest.raises(DegenerateModelError) as scalar:
+        gen(u)
+    with pytest.raises(DegenerateModelError) as stacked:
+        gen.values(np.array([0.0, 0.9, u, 1.0]))
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_a_step_stack_makes_no_search_while_a_continuous_one_searches_per_entry(monkeypatch):
+    from shockcopula.distfn import DistributionFn
+
+    searched = []
+    search = DistributionFn.smallest_preimage
+    monkeypatch.setattr(DistributionFn, "smallest_preimage",
+                        lambda self, t: searched.append(t) or search(self, t))
+    us = np.array([0.0, 0.2, 0.7, 0.2, 0.2, 0.9, 1.0])
+    step = (Discrete([(0.5, 0.5), (1.5, 0.5)]), Discrete([(1.0, 0.4), (2.0, 0.6)]))
+    smooth = (Exponential(1.0), Exponential(2.0))
+    for make in (extend_phi, extend_chi):
+        for gen in (make(*step), to_rmm(make(*step))):
+            gen.values(us)
+            assert searched == [], gen.kind
+        for gen in (make(*smooth), to_rmm(make(*smooth))):
+            gen.values(us)
+            # one search per interior entry, as the base sees it, except where
+            # the memo holds the entry before
+            asked = [t for t in ((1.0 - us) if gen.kind == "rmm_g" else us).tolist() if 0.0 < t < 1.0]
+            assert searched == [t for i, t in enumerate(asked) if i == 0 or t != asked[i - 1]], gen.kind
+            assert len(searched) == 4
+            searched.clear()
