@@ -782,8 +782,13 @@ class Switch(DistributionFn):
         return self.before.value(x) if x < self.point else self.after.value(x)
 
     def values(self, x) -> np.ndarray:
+        """Each part evaluated only on its own entries (nan goes to ``after``, as in ``value``)."""
         x = np.asarray(x, dtype=float)
-        return np.where(x < self.point, self.before.values(x), self.after.values(x))
+        before = x < self.point
+        out = np.empty(x.shape)
+        out[before] = self.before.values(x[before])
+        out[~before] = self.after.values(x[~before])
+        return out
 
     def left_limit(self, x: float) -> float:
         return self.before.left_limit(x) if x <= self.point else self.after.left_limit(x)

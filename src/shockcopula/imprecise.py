@@ -288,32 +288,25 @@ def build_bounds(model: ShockModel) -> BoundFamily:
     Each extended generator builds its lifetime once; ``lower_G[k]`` is the
     lifetime of the generator extended from the lower bound of component k,
     which for an rmm min-type coordinate is the base of ``upper_gen``'s
-    generator k (the order reversal).
+    generator k (the order reversal).  A precise box is extended once: both
+    bound vectors hold the same generator object at its coordinate.
     """
     z = model.exogenous
-    n, p = model.n, model.split
-    lows = [box.lower for box in model.endogenous]
-    ups = [box.upper for box in model.endogenous]
+    p = model.split
+
+    def extend(k: int, component: DistributionFn) -> Generator:
+        gen = extend_phi(component, z) if k < p else extend_chi(component, z)
+        return to_rmm(gen) if model.family == "rmm" else gen
 
     lo_gens: list[Generator] = []
     hi_gens: list[Generator] = []
-    if model.family == "marshall":
-        for k in range(n):
-            lo_gens.append(extend_phi(lows[k], z))
-            hi_gens.append(extend_phi(ups[k], z))
-    elif model.family == "maxmin":
-        for k in range(n):
-            make = extend_phi if k < p else extend_chi
-            lo_gens.append(make(lows[k], z))
-            hi_gens.append(make(ups[k], z))
-    else:
-        for k in range(p):
-            lo_gens.append(to_rmm(extend_phi(lows[k], z)))
-            hi_gens.append(to_rmm(extend_phi(ups[k], z)))
-        for k in range(p, n):
+    for k, box in enumerate(model.endogenous):
+        lower, upper = box.lower, box.upper
+        if model.family == "rmm" and k >= p:
             # order reversal: the lower g comes from the upper component bound
-            lo_gens.append(to_rmm(extend_chi(ups[k], z)))
-            hi_gens.append(to_rmm(extend_chi(lows[k], z)))
+            lower, upper = upper, lower
+        lo_gens.append(extend(k, lower))
+        hi_gens.append(lo_gens[-1] if box.is_degenerate else extend(k, upper))
 
     if model.family == "rmm":
         lower_G = [g.base.lifetime for g in lo_gens[:p] + hi_gens[p:]]

@@ -570,6 +570,30 @@ def _columns(points: list[list[float]], n: int) -> np.ndarray:
     return np.array(points, dtype=float).reshape(-1, n).T
 
 
+def _record_flagged(report: CheckReport, label, flagged: np.ndarray, entry) -> None:
+    """Record every flagged entry of a stack of checks, in the stack's C order.
+
+    The stack's axes are the loops of a point-by-point check, outermost
+    first (point, then coordinate or pair, then bound or combination), so
+    its C order is the order in which such a loop meets the entries;
+    ``entry(*index)`` gives the point, expected and actual value to record.
+    """
+    for index in np.argwhere(flagged).tolist():
+        report.record(label, *entry(*index))
+
+
+def _bounds_at(lower, upper, args: np.ndarray) -> np.ndarray:
+    """``lower[k]`` at ``args[:, k, 0]`` and ``upper[k]`` at ``args[:, k, 1]``.
+
+    ``args`` (broadcast to it) and the result are ``(point, coordinate,
+    bound)`` arrays; each function is asked once, by ``values``, for its
+    column of the stack.
+    """
+    args = np.broadcast_to(args, (len(args), len(lower), 2)).transpose(1, 0, 2)
+    return np.array([[lo.values(a[:, 0]), hi.values(a[:, 1])]
+                     for lo, hi, a in zip(lower, upper, args)]).transpose(2, 0, 1)
+
+
 def _joint_law_checks(rng, reports, label, bf: BoundFamily, count: int, law, marginals,
                       bounding, sandwich_tol: float, composition_tol: float) -> list[list[float]]:
     """Draw ``count`` lattice points and check the H bounds there; returns the points.
@@ -583,28 +607,28 @@ def _joint_law_checks(rng, reports, label, bf: BoundFamily, count: int, law, mar
     """
     lattice = _lattice_points(rng, count, bf.n)
     xs = _columns(lattice, bf.n)
-    lows, highs = (h.tolist() for h in H_bounds_values(bf, xs))
-    mids = [law(margins, xs).tolist() for margins in marginals]
-    want_lows, want_highs = (law(components, xs).tolist() for components in bounding)
-    for q, (x, lo, hi) in enumerate(zip(lattice, lows, highs)):
-        for values in mids:
-            if not (lo <= values[q] + sandwich_tol and values[q] <= hi + sandwich_tol):
-                reports["composed-sandwich"].record(label, x, (lo, hi), values[q])
-        want_lo, want_hi = want_lows[q], want_highs[q]
-        if abs(lo - want_lo) > composition_tol or abs(hi - want_hi) > composition_tol:
-            reports["H-composition"].record(label, x, (want_lo, want_hi), (lo, hi))
+    lows, highs = H_bounds_values(bf, xs)
+    mids = np.array([law(margins, xs) for margins in marginals]).T
+    want_lows, want_highs = (law(components, xs) for components in bounding)
+    _sandwich(reports["composed-sandwich"], label, lattice, lows, highs, mids, sandwich_tol)
+    moved = (np.abs(lows - want_lows) > composition_tol) | (np.abs(highs - want_highs) > composition_tol)
+    _record_flagged(reports["H-composition"], label, moved, lambda q: (
+        lattice[q], (float(want_lows[q]), float(want_highs[q])), (float(lows[q]), float(highs[q]))))
     return lattice
+
+
+def _sandwich(report, label, points, lows, highs, mids, tol) -> None:
+    """Record each ``(point, member)`` value outside [lows, highs] by more than tol (nan included)."""
+    outside = ~((lows[:, None] <= mids + tol) & (mids <= highs[:, None] + tol))
+    _record_flagged(report, label, outside, lambda q, m: (
+        points[q], (float(lows[q]), float(highs[q])), float(mids[q, m])))
 
 
 def _copula_sandwich(report, label, unit, lower, upper, members, tol) -> None:
     """Record each point where a member's copula leaves [lower, upper] by more than tol."""
     us = _columns(unit, lower.n)
-    lows, highs = lower.values(us).tolist(), upper.values(us).tolist()
-    mids = [build_bounds(m).lower_gen.values(us).tolist() for m in members]
-    for q, u in enumerate(unit):
-        for values in mids:
-            if not (lows[q] <= values[q] + tol and values[q] <= highs[q] + tol):
-                report.record(label, u, (lows[q], highs[q]), values[q])
+    mids = np.array([build_bounds(m).lower_gen.values(us) for m in members]).T
+    _sandwich(report, label, unit, lower.values(us), upper.values(us), mids, tol)
 
 
 def _member_models(rng: np.random.Generator, model: ShockModel) -> list[ShockModel]:
@@ -612,6 +636,15 @@ def _member_models(rng: np.random.Generator, model: ShockModel) -> list[ShockMod
     boxes = tuple(PBox.precise(random_member(rng, box)) for box in model.endogenous)
     members.append(ShockModel(model.family, boxes, model.exogenous, model.p))
     return members
+
+
+def _bound_columns(bf: BoundFamily, model: ShockModel, xs: np.ndarray):
+    """The bound lifetimes G, the component bounds F and the bound generators
+    at G, on each coordinate's column of a stack, as :func:`_bounds_at` arrays."""
+    x, boxes = xs.T[..., None], model.endogenous
+    g = _bounds_at(bf.lower_G, bf.upper_G, x)
+    F = _bounds_at([b.lower for b in boxes], [b.upper for b in boxes], x)
+    return g, F, _bounds_at(bf.lower_gen.generators, bf.upper_gen.generators, g)
 
 
 def _theorem_checks_marshall(rng, model, idx, points, reports) -> None:
@@ -629,25 +662,20 @@ def _theorem_checks_marshall(rng, model, idx, points, reports) -> None:
         rng, reports, label, bf, points, lambda comps, xs: joint_marshall_values(comps, z, xs),
         marginals, ([b.lower for b in model.endogenous], [b.upper for b in model.endogenous]),
         1e-12, 1e-12)
-    for x in lattice:
-        for k in range(n):
-            for gen, G, Fk in (
-                (bf.lower_gen.generators[k], bf.lower_G[k], model.endogenous[k].lower),
-                (bf.upper_gen.generators[k], bf.upper_G[k], model.endogenous[k].upper),
-            ):
-                g = G.value(x[k])
-                if g > 0.0 and abs(gen(g) - Fk.value(x[k])) > 1e-12:
-                    reports["defining-relation"].record(label, [k, x[k]], Fk.value(x[k]), gen(g))
+    xs = _columns(lattice, n)
+    g, F, f = _bound_columns(bf, model, xs)
+    _record_flagged(reports["defining-relation"], label, (g > 0.0) & (np.abs(f - F) > 1e-12),
+                    lambda q, k, b: ([k, lattice[q][k]], float(F[q, k, b]), float(f[q, k, b])))
 
-        # stars at every coordinate and level collapse to 1/F_Z at that point,
-        # so any two of them agree wherever both arguments are positive
-        for k in range(n):
-            fz = z.value(x[k])
-            for gen, G in ((bf.lower_gen.generators[k], bf.lower_G[k]),
-                           (bf.upper_gen.generators[k], bf.upper_G[k])):
-                g = G.value(x[k])
-                if g > 0.0 and abs(gen.star(g) - 1.0 / fz) > 1e-10:
-                    reports["star-identity"].record(label, [k, x[k]], 1.0 / fz, gen.star(g))
+    # stars at every coordinate and level collapse to 1/F_Z at that point,
+    # so any two of them agree wherever both arguments are positive; g > 0
+    # makes F_Z > 0, and star(g) is gen(g)/g there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = 1.0 / z.values(xs).T
+        star = f / g
+    off = (g > 0.0) & (np.abs(star - inverse[:, :, None]) > 1e-10)
+    _record_flagged(reports["star-identity"], label, off,
+                    lambda q, k, b: ([k, lattice[q][k]], float(inverse[q, k]), float(star[q, k, b])))
     for r in reports.values():
         r.instances += 1
 
@@ -664,33 +692,68 @@ def _theorem_checks_maxmin(rng, model, idx, points, reports) -> None:
         rng, reports, label, bf, points, lambda comps, xs: joint_maxmin_values(comps, z, xs, p),
         marginals, ([b.lower for b in model.endogenous], [b.upper for b in model.endogenous]),
         1e-10, 1e-10)
-    for x in lattice:
-        for k in range(n):
-            for gen, G, Fk in (
-                (bf.lower_gen.generators[k], bf.lower_G[k], model.endogenous[k].lower),
-                (bf.upper_gen.generators[k], bf.upper_G[k], model.endogenous[k].upper),
-            ):
-                g = G.value(x[k])
-                if k < p:
-                    if g > 0.0 and abs(gen(g) - Fk.value(x[k])) > 1e-12:
-                        reports["defining-relation"].record(label, [k, x[k]], Fk.value(x[k]), gen(g))
-                    if g > 0.0:
-                        dag = gen.dagger(g)
-                        if abs(dag - z.value(x[k])) > 1e-10:
-                            reports["dagger-identity"].record(label, [k, x[k]], z.value(x[k]), dag)
-                else:
-                    if g < 1.0 and abs(gen(g) - Fk.value(x[k])) > 1e-12:
-                        reports["defining-relation"].record(label, [k, x[k]], Fk.value(x[k]), gen(g))
-                    if g < 1.0:
-                        dag = gen.dagger(g)
-                        if abs(dag - z.value(x[k])) > 1e-10:
-                            reports["dagger-identity"].record(label, [k, x[k]], z.value(x[k]), dag)
+    xs = _columns(lattice, n)
+    g, F, f = _bound_columns(bf, model, xs)
+    # max-type coordinates are checked where G > 0 with the dagger u/phi(u),
+    # min-type ones where G < 1 with (u - chi(u)) / (1 - chi(u))
+    max_type = (np.arange(n) < p)[:, None]
+    checked = np.where(max_type, g > 0.0, g < 1.0)
+    _record_flagged(reports["defining-relation"], label, checked & (np.abs(f - F) > 1e-12),
+                    lambda q, k, b: ([k, lattice[q][k]], float(F[q, k, b]), float(f[q, k, b])))
+
+    undefined = checked & np.where(max_type, f == 0.0, f >= 1.0)
+    if undefined.any():
+        # the scalar dagger raises the per-point error at the first such entry
+        q, k, b = np.argwhere(undefined)[0].tolist()
+        (bf.lower_gen, bf.upper_gen)[b].generators[k].dagger(float(g[q, k, b]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dagger = np.where(max_type, g / f, (g - f) / (1.0 - f))
+    fz = z.values(xs).T
+    off = checked & (np.abs(dagger - fz[:, :, None]) > 1e-10)
+    _record_flagged(reports["dagger-identity"], label, off,
+                    lambda q, k, b: ([k, lattice[q][k]], float(fz[q, k]), float(dagger[q, k, b])))
 
     if n == 2:
         _copula_sandwich(reports["bivariate-mixed-sandwich"], label, _unit_points(rng, points, 2),
                          *_maxmin_mixed_vectors(bf), members, 1e-10)
     for r in reports.values():
         r.instances += 1
+
+
+def _rmm_lattice_checks(reports, label, model, bf, lattice) -> None:
+    """Marginal order, defining relations and star products of an rmm instance on its lattice stack."""
+    n, p = model.n, model.split
+    xs = _columns(lattice, n)
+    G = _bounds_at(bf.lower_G, bf.upper_G, xs.T[..., None])
+    _record_flagged(reports["marginal-order"], label, G[..., 0] > G[..., 1] + 1e-12, lambda q, k: (
+        [k, lattice[q][k]], "lower_G <= upper_G", (float(G[q, k, 0]), float(G[q, k, 1]))))
+
+    # defining relations: gen(G) = F - G at a max-type coordinate, and
+    # gen(1 - G) = (1 - F) - (1 - G) at a min-type one, with the bounds reversed
+    max_type = (np.arange(n) < p)[:, None]
+    G = np.where(max_type, G, G[..., ::-1])
+    F = _bounds_at([b.lower for b in model.endogenous], [b.upper for b in model.endogenous],
+                   xs.T[..., None])
+    F = np.where(max_type, F, F[..., ::-1])
+    arg = np.where(max_type, G, 1.0 - G)
+    want = np.where(max_type, F - arg, (1.0 - F) - arg)
+    f = _bounds_at(bf.lower_gen.generators, bf.upper_gen.generators, arg)
+    _record_flagged(reports["defining-relation"], label, (arg > 0.0) & (np.abs(f - want) > 1e-12),
+                    lambda q, k, b: ([k, lattice[q][k]], float(want[q, k, b]), float(f[q, k, b])))
+
+    # star products across all (max, min) pairs at a common x, in four
+    # combinations of the bounds (lower-upper, lower-lower, upper-lower,
+    # upper-upper); each star's generator and argument are a defining relation's
+    combos = [(i, j, a, c) for i in range(p) for j in range(p, n)
+              for a, c in ((0, 1), (0, 0), (1, 0), (1, 1))]
+    i, j, a, c = np.array(combos).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        star = f / arg
+    prod = star[:, i, a] * star[:, j, c]
+    fz = model.exogenous.values(xs[i]).T
+    checked = (xs[i] == xs[j]).T & (0.0 < fz) & (fz < 1.0) & (arg[:, i, a] > 0.0) & (arg[:, j, c] > 0.0)
+    _record_flagged(reports["star-products"], label, checked & (np.abs(prod - 1.0) > 1e-10),
+                    lambda q, m: ([*combos[m][:2], lattice[q][combos[m][0]]], 1.0, float(prod[q, m])))
 
 
 def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
@@ -703,61 +766,17 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
     lows = [b.lower for b in model.endogenous]
     ups = [b.upper for b in model.endogenous]
 
-    for t in np.linspace(0.0, 1.0, max(3, points // 25)):
-        for k in range(n):
-            flo = bf.lower_gen.generators[k](float(t))
-            fhi = bf.upper_gen.generators[k](float(t))
-            if flo > fhi + 1e-12:
-                reports["generator-order"].record(label, [k, float(t)], "lower <= upper", (flo, fhi))
+    ts = np.linspace(0.0, 1.0, max(3, points // 25))
+    on_grid = _bounds_at(bf.lower_gen.generators, bf.upper_gen.generators, ts[:, None, None])
+    _record_flagged(reports["generator-order"], label, on_grid[..., 0] > on_grid[..., 1] + 1e-12,
+                    lambda t, k: ([k, float(ts[t])], "lower <= upper",
+                                  (float(on_grid[t, k, 0]), float(on_grid[t, k, 1]))))
 
-    lattice = _joint_law_checks(
+    # the lattice checks run in their own frame, so their stacks are freed
+    # before the envelope scan
+    _rmm_lattice_checks(reports, label, model, bf, _joint_law_checks(
         rng, reports, label, bf, points, lambda comps, xs: joint_rmm_values(comps, z, xs, p),
-        marginals, (lows[:p] + ups[p:], ups[:p] + lows[p:]), 1e-10, 1e-12)
-    for x in lattice:
-        for k in range(n):
-            if bf.lower_G[k].value(x[k]) > bf.upper_G[k].value(x[k]) + 1e-12:
-                reports["marginal-order"].record(
-                    label, [k, x[k]], "lower_G <= upper_G",
-                    (bf.lower_G[k].value(x[k]), bf.upper_G[k].value(x[k])),
-                )
-
-        # defining relations: max-type straight, min-type with reversed bounds
-        for i in range(p):
-            for gen, G, Fi in ((bf.lower_gen.generators[i], bf.lower_G[i], lows[i]),
-                               (bf.upper_gen.generators[i], bf.upper_G[i], ups[i])):
-                g = G.value(x[i])
-                if g > 0.0 and abs(gen(g) - (Fi.value(x[i]) - g)) > 1e-12:
-                    reports["defining-relation"].record(label, [i, x[i]], Fi.value(x[i]) - g, gen(g))
-        for j in range(p, n):
-            for gen, G, Fj in ((bf.lower_gen.generators[j], bf.upper_G[j], ups[j]),
-                               (bf.upper_gen.generators[j], bf.lower_G[j], lows[j])):
-                ghat = 1.0 - G.value(x[j])
-                want = (1.0 - Fj.value(x[j])) - ghat
-                if ghat > 0.0 and abs(gen(ghat) - want) > 1e-12:
-                    reports["defining-relation"].record(label, [j, x[j]], want, gen(ghat))
-
-        # star products across all (max, min) pairs at a common x
-        fzx = [z.value(xi) for xi in x]
-        for i in range(p):
-            for j in range(p, n):
-                if x[i] != x[j] or not 0.0 < fzx[i] < 1.0:
-                    continue
-                combos = (
-                    (bf.lower_gen.generators[i], bf.lower_G[i].value(x[i]),
-                     bf.upper_gen.generators[j], 1.0 - bf.lower_G[j].value(x[j])),
-                    (bf.lower_gen.generators[i], bf.lower_G[i].value(x[i]),
-                     bf.lower_gen.generators[j], 1.0 - bf.upper_G[j].value(x[j])),
-                    (bf.upper_gen.generators[i], bf.upper_G[i].value(x[i]),
-                     bf.lower_gen.generators[j], 1.0 - bf.upper_G[j].value(x[j])),
-                    (bf.upper_gen.generators[i], bf.upper_G[i].value(x[i]),
-                     bf.upper_gen.generators[j], 1.0 - bf.lower_G[j].value(x[j])),
-                )
-                for gi, argi, gj, argj in combos:
-                    if argi <= 0.0 or argj <= 0.0:
-                        continue
-                    prod = gi.star(argi) * gj.star(argj)
-                    if abs(prod - 1.0) > 1e-10:
-                        reports["star-products"].record(label, [i, j, x[i]], 1.0, prod)
+        marginals, (lows[:p] + ups[p:], ups[:p] + lows[p:]), 1e-10, 1e-12))
 
     unit = _unit_points(rng, points, n)
     columns = _columns(unit, n)
@@ -765,15 +784,19 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
     tables = _vertex_tables(bf, columns)
     inf_env, sup_env = _envelope_of_tables(tables, p)
     inf_scan, sup_scan = _full_scan_of_tables(tables, p)
-    for u, inf_red, sup_red, inf_full, sup_full in zip(
-            unit, inf_env.tolist(), sup_env.tolist(), inf_scan.tolist(), sup_scan.tolist()):
-        if abs(inf_red - inf_full) > 1e-12:
-            reports["envelope-inf-reduction"].record(label, u, inf_full, inf_red)
-        gap = abs(sup_red - sup_full)
-        if gap > 1e-12:
-            reports["envelope-sup-bounded"].record(label, u, sup_full, sup_red)
-        if gap > reports["envelope-sup-bounded"].diagnostics.get("max_sup_gap", 0.0):
-            reports["envelope-sup-bounded"].diagnostics["max_sup_gap"] = gap
+    _record_flagged(reports["envelope-inf-reduction"], label, np.abs(inf_env - inf_scan) > 1e-12,
+                    lambda q: (unit[q], float(inf_scan[q]), float(inf_env[q])))
+    sup = reports["envelope-sup-bounded"]
+    gap = np.abs(sup_env - sup_scan)
+    first = gap[gap > 0.0][:1]
+    if first.size and first[0] <= 1e-12:
+        # a per-point loop sets the diagnostic at the first gap, before any record
+        sup.diagnostics.setdefault("max_sup_gap", 0.0)
+    _record_flagged(sup, label, gap > 1e-12,
+                    lambda q: (unit[q], float(sup_scan[q]), float(sup_env[q])))
+    widest = float(np.fmax.reduce(gap, initial=0.0))  # nan is no gap
+    if widest > sup.diagnostics.get("max_sup_gap", 0.0):
+        sup.diagnostics["max_sup_gap"] = widest
     if n == 2:
         # the copula with the *lower* generators dominates pointwise
         _copula_sandwich(reports["bivariate-copula-sandwich"], label, unit,
@@ -785,19 +808,29 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
 def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instance: int = 1000) -> dict:
     """Order and identity statements for bound families of random p-box models.
 
-    Each instance's copula sandwiches, H bounds, joint laws, rmm envelope
-    and full vertex scan are evaluated once over its stack of points and
-    checked point by point.  The stacked calls per instance are: the bound
-    and member copulas (:meth:`GeneratorVector.values`); the H bounds
-    (:func:`H_bounds_values`); six joint laws on the lattice points, one per
-    member model and one per bounding component list
-    (:func:`joint_marshall_values`, :func:`joint_maxmin_values` or
-    :func:`joint_rmm_values`); and, for rmm, the envelope and the full
-    vertex scan from one table of the bound generators
-    (:func:`rmm_envelope_values`, :func:`rmm_envelope_full_scan_values`).
-    The points themselves are drawn by one RNG call per stack.  The
-    defining-relation, dagger and star checks stay one point at a time.
-    Both envelope halves must equal the full vertex scan within 1e-12: the
+    Each instance is evaluated once over its stack of points and checked as
+    a whole stack: every comparison is one numpy test, and Python runs only
+    on the flagged entries, recorded in the order a loop over points, then
+    coordinates (or pairs), then bounds (or combinations) meets them.  The
+    stacked calls per instance are: the bound and member copulas
+    (:meth:`GeneratorVector.values`); the H bounds (:func:`H_bounds_values`);
+    six joint laws on the lattice points, one per member model and one per
+    bounding component list (:func:`joint_marshall_values`,
+    :func:`joint_maxmin_values` or :func:`joint_rmm_values`); per coordinate
+    and bound, the bound lifetime G, the component bound F and the bound
+    generator at G (at 1 - G for an rmm min-type coordinate) on that
+    coordinate's column of the lattice stack, and the shock F_Z once per
+    coordinate (:meth:`DistributionFn.values`, :meth:`Generator.values`),
+    which serve the defining relations, daggers, stars and the rmm marginal
+    order; for rmm, each bound generator on the generator-order grid; and
+    the envelope and the full vertex scan from one table of the bound
+    generators (:func:`rmm_envelope_values`,
+    :func:`rmm_envelope_full_scan_values`).  Stars and daggers are the
+    scalar transforms' single divisions (``gen(u)/u``, ``u/phi(u)``,
+    ``(u - chi)/(1 - chi)``); where a dagger is undefined the scalar
+    :meth:`Generator.dagger` is called at the first such entry and raises.
+    The points themselves are drawn by one RNG call per stack.  Both
+    envelope halves must equal the full vertex scan within 1e-12: the
     reduced inf scan, and the star-form sup (``rmm-envelope-sup-bounded``,
     whose ``max_sup_gap`` diagnostic records the largest absolute gap).
     """

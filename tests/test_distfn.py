@@ -490,6 +490,33 @@ def test_values_equal_the_scalar_value_bit_for_bit(fn):
     assert [v.hex() for v in fn.values(grid).ravel().tolist()] == want[: grid.size]
 
 
+def test_switch_values_evaluate_each_part_on_its_own_entries(monkeypatch):
+    before, after = Exponential(1.0), SurvivalComplementProduct(Exponential(2.0), Uniform(0.0, 3.0))
+    f = Switch(1.0, before, after)
+    xs = [0.25, 1.0, math.nan, math.nextafter(1.0, 0.0), 2.0, -1.0, 1.0, math.inf]
+    calls = []
+    real = Exponential.value
+
+    def counted(self, x):
+        calls.append((id(self), x))
+        return real(self, x)
+
+    monkeypatch.setattr(Exponential, "value", counted)
+    got = f.values(np.array(xs))
+    owned = {id(before): [x for x in xs if x < 1.0],
+             id(after.first): [x for x in xs if not x < 1.0]}
+    # one call per owned entry, nan and the splice point going to ``after``
+    for part, entries in owned.items():
+        mine = [x for who, x in calls if who == part]
+        assert len(mine) == len(entries)
+        assert [repr(x) for x in mine] == [repr(x) for x in entries]
+    assert len(calls) == len(xs)
+    monkeypatch.undo()
+    assert [v.hex() for v in got.tolist()] == [f.value(x).hex() for x in xs]
+    assert f.values(np.array([])).shape == (0,)
+    assert f.values(np.array([[0.5, 1.0], [math.nan, 3.0]])).shape == (2, 2)
+
+
 def test_step_tables_are_read_from_the_limits():
     z = discrete((1.0, 0.5), (2.0, 0.5))
     assert Product(discrete((0.5, 1.0)), z)._limits.steps

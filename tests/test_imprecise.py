@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 
 import envelope_reference
 import kernel_reference
-from shockcopula import copulas, imprecise
-from shockcopula.copulas import joint_marshall_H, joint_maxmin_H, joint_rmm_product, rmm_n
+from shockcopula import copulas, imprecise, verify
+from shockcopula.copulas import (
+    GeneratorVector,
+    joint_marshall_H,
+    joint_maxmin_H,
+    joint_rmm_product,
+    rmm_n,
+)
 from shockcopula.distfn import (
     DiracStep,
     Discrete,
@@ -22,8 +28,10 @@ from shockcopula.distfn import (
     PiecewiseLinearWithJumps,
     Uniform,
 )
+from shockcopula.genfn import extend_chi, extend_phi, to_rmm
 from shockcopula.imprecise import (
     BoundFamily,
+    H_bounds_values,
     PBox,
     ShockModel,
     build_bounds,
@@ -234,6 +242,54 @@ def test_bound_marginals_are_ordered():
         for k in range(2):
             for x in XGRID:
                 assert bf.lower_G[k].value(x) <= bf.upper_G[k].value(x) + 1e-15
+
+
+def _extended_twice(model):
+    """The bound family of ``model`` with every bound generator extended on its own."""
+    z, p = model.exogenous, model.split
+
+    def extend(k, component):
+        gen = extend_phi(component, z) if k < p else extend_chi(component, z)
+        return to_rmm(gen) if model.family == "rmm" else gen
+
+    reverse = [model.family == "rmm" and k >= p for k in range(model.n)]
+    lo = [extend(k, b.upper if r else b.lower) for k, (b, r) in enumerate(zip(model.endogenous, reverse))]
+    hi = [extend(k, b.lower if r else b.upper) for k, (b, r) in enumerate(zip(model.endogenous, reverse))]
+
+    def lifetime(gen):
+        return (gen.base if model.family == "rmm" else gen).lifetime
+
+    lower_G = [lifetime(h if r else l) for l, h, r in zip(lo, hi, reverse)]
+    upper_G = [lifetime(l if r else h) for l, h, r in zip(lo, hi, reverse)]
+    gv_p = None if model.family == "marshall" else p
+    return BoundFamily(model.family, model.p, GeneratorVector(model.family, tuple(lo), gv_p),
+                       GeneratorVector(model.family, tuple(hi), gv_p), tuple(lower_G), tuple(upper_G))
+
+
+@pytest.mark.parametrize("family", ["marshall", "maxmin", "rmm"])
+def test_a_precise_box_is_extended_once_for_both_bounds(family):
+    rng = philox_stream(41, 3)
+    precise = verify.random_shock_model(rng, family, 3)
+    bf = build_bounds(precise)
+    separate = _extended_twice(precise)
+    assert bf == separate
+    for k in range(3):
+        assert bf.lower_gen.generators[k] is bf.upper_gen.generators[k]
+        assert bf.lower_G[k] is bf.upper_G[k]
+    us = [np.array(rng.random(200)) for _ in range(3)]
+    us[0][:3] = (0.0, 1.0, 0.5)
+    for shared, own in ((bf.lower_gen, separate.lower_gen), (bf.upper_gen, separate.upper_gen)):
+        assert shared.values(us).tobytes() == own.values(us).tobytes()
+    xs = [np.array(verify.COORDINATE_LATTICE)] * 3
+    for shared, own in zip(H_bounds_values(bf, xs), H_bounds_values(separate, xs)):
+        assert shared.tobytes() == own.tobytes()
+
+    boxed = random_pbox_shock_model(rng, family, 3)
+    bf = build_bounds(boxed)
+    assert bf == _extended_twice(boxed)
+    for k in range(3):
+        assert bf.lower_gen.generators[k] is not bf.upper_gen.generators[k]
+        assert bf.lower_G[k] is not bf.upper_G[k]
 
 
 def test_degenerate_boxes_collapse_every_bound():

@@ -1,16 +1,19 @@
 """Verification tooling: volume checks, oracles, simulation, suites."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+import theorem_reference
 from shockcopula import verify
 from shockcopula.copulas import GeneratorVector
 from shockcopula.distfn import Convex, DiracStep, Discrete, Exponential
-from shockcopula.genfn import validate
-from shockcopula.imprecise import PBox, ShockModel, build_bounds
+from shockcopula.genfn import DegenerateModelError, Generator, validate
+from shockcopula.imprecise import PBox, ShockModel, _full_scan_of_tables, build_bounds
 from shockcopula.verify import (
     CheckReport,
     DiscreteModelOracle,
@@ -357,3 +360,121 @@ def test_run_suite_dispatch_and_merge(monkeypatch):
     assert run_suite("axioms", 7)["suite"] == "axioms"
     with pytest.raises(ValueError):
         run_suite("everything", 7)
+
+
+# -- stacked theorem checks against the per-point reference ------------------------
+
+
+def _same_report(seed, **sizes):
+    got = suite_theorems(seed, **sizes)
+    want = theorem_reference.suite_theorems(seed, **sizes)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+    return got
+
+
+@pytest.mark.parametrize("seed, instances, points", [(1, 3, 40), (7, 4, 25), (20250819, 3, 150)])
+def test_stacked_theorem_checks_equal_the_per_point_reference(seed, instances, points):
+    # three instances per family cover n = 2, 3 and 4
+    report = _same_report(seed, instances_per_family=instances, points_per_instance=points)
+    assert report["passed"]
+
+
+class _Planted(Generator):
+    """A bound generator with a fault on (0, upto): ``base + shift``, or the
+    constant ``fill``; the same float whether called or asked for a stack."""
+
+    def __init__(self, base, upto, shift=0.0, fill=None):
+        self.base, self.kind, self.upto, self.shift, self.fill = base, base.kind, upto, shift, fill
+
+    def __call__(self, u):
+        inside = 0.0 < u < self.upto
+        if self.fill is not None and inside:
+            return self.fill
+        return self.base(u) + (self.shift if inside else 0.0)
+
+    def values(self, u):
+        u = np.asarray(u, dtype=float)
+        inside = (u > 0.0) & (u < self.upto)
+        if self.fill is not None:
+            return np.where(inside, self.fill, self.base.values(u))
+        return self.base.values(u) + np.where(inside, self.shift, 0.0)
+
+
+def _plant(monkeypatch, lower, upper, swap_lifetimes=False):
+    """Make ``verify.build_bounds`` wrap the bound generators of every p-box
+    model (not the precise members) with ``lower(gen)`` and ``upper(gen)``,
+    and swap its lower and upper lifetimes if asked."""
+
+    def planted(model):
+        bf = build_bounds(model)
+        if model.is_precise:
+            return bf
+        vectors = [GeneratorVector(bf.family, tuple(wrap(g) for g in gv.generators), gv.p)
+                   for gv, wrap in ((bf.lower_gen, lower), (bf.upper_gen, upper))]
+        bf = dataclasses.replace(bf, lower_gen=vectors[0], upper_gen=vectors[1])
+        if swap_lifetimes:
+            bf = dataclasses.replace(bf, lower_G=bf.upper_G, upper_G=bf.lower_G)
+        return bf
+
+    monkeypatch.setattr(verify, "build_bounds", planted)
+
+
+def test_planted_generator_faults_are_recorded_as_the_reference_records_them(monkeypatch):
+    # off by 1e-9 on part of each bound's range: defining relations, stars,
+    # daggers and orders fail on many entries of both bounds
+    # (the rmm upper bounds are left exact, so the lower ones rise above them)
+    _plant(monkeypatch, lambda g: _Planted(g, 0.6, shift=1e-9),
+           lambda g: g if g.kind.startswith("rmm") else _Planted(g, 0.9, shift=2e-9))
+    for seed in (1, 2):
+        report = _same_report(seed, instances_per_family=3, points_per_instance=100)
+        totals = {c["check"]: c["diagnostics"].get("failures_total", 0) for c in report["checks"]}
+        over_cap = [name for name, total in totals.items() if total > verify._FAILURE_CAP]
+        for name in ("marshall-defining-relation", "marshall-star-identity",
+                     "maxmin-dagger-identity", "rmm-generator-order", "rmm-star-products"):
+            assert totals[name] > 0, name
+        assert over_cap
+        for check in report["checks"]:
+            if check["check"] in over_cap:
+                assert len(check["failures"]) == verify._FAILURE_CAP
+    # bound lifetimes in the wrong order, with exact generators
+    _plant(monkeypatch, lambda g: g, lambda g: g, swap_lifetimes=True)
+    report = _same_report(3, instances_per_family=3, points_per_instance=60)
+    checks = {c["check"]: c for c in report["checks"]}
+    assert checks["rmm-marginal-order"]["failures"]
+
+
+@pytest.mark.parametrize("kinds, fill, message", [
+    (("phi", "psi"), 0.0, r"phi\(.*\) = 0; dagger undefined"),
+    (("chi",), 1.0, r"chi\(.*\) = 1 below 1; dagger undefined"),
+])
+def test_an_undefined_dagger_raises_as_the_reference_raises(monkeypatch, kinds, fill, message):
+    # phi is 0, or chi is 1, on (0, 0.6) for every bound of those kinds, so
+    # the maxmin dagger u/phi(u) or (u - chi(u)) / (1 - chi(u)) divides by 0
+    def planted(gen):
+        return _Planted(gen, 0.6, fill=fill) if gen.kind in kinds else gen
+
+    _plant(monkeypatch, planted, planted)
+    for seed in (1, 3):
+        with pytest.raises(DegenerateModelError, match=message) as got:
+            suite_theorems(seed, instances_per_family=3, points_per_instance=40)
+        with pytest.raises(DegenerateModelError) as want:
+            theorem_reference.suite_theorems(seed, instances_per_family=3, points_per_instance=40)
+        assert str(got.value) == str(want.value)
+
+
+def test_sup_gaps_either_side_of_the_tolerance_are_reported_as_the_reference_reports_them(
+        monkeypatch):
+    def widened(tables, p):
+        inf, sup = _full_scan_of_tables(tables, p)
+        # the first point's gap is within the tolerance, every later one is not
+        return inf, sup + np.where(np.arange(sup.size) == 0, 4e-13, 1e-9)
+
+    monkeypatch.setattr(verify, "_full_scan_of_tables", widened)
+    monkeypatch.setattr(theorem_reference, "_full_scan_of_tables", widened)
+    report = _same_report(5, instances_per_family=3, points_per_instance=30)
+    checks = {c["check"]: c for c in report["checks"]}
+    diagnostics = checks["rmm-envelope-sup-bounded"]["diagnostics"]
+    # the gap is recorded before the first failure, as the per-point loop meets them
+    assert list(diagnostics) == ["max_sup_gap", "failures_total"]
+    assert diagnostics["failures_total"] == 3 * 29
