@@ -37,7 +37,6 @@ from .genfn import (
     extend_phi,
     extend_psi,
     generator_from_spec,
-    tabulate,
     to_rmm,
     validate,
 )
@@ -64,12 +63,7 @@ from .imprecise import (
     PBox,
     ShockModel,
     build_bounds,
-    marshall_H_bounds,
-    marshall_bound_copulas,
-    maxmin_H_bounds,
     maxmin_bivariate_mixed_bounds,
-    maxmin_bound_copulas,
-    rmm_H_bounds,
     rmm_bivariate_copula_bounds,
     rmm_envelope,
     rmm_envelope_full_scan,
@@ -82,7 +76,6 @@ from .verify import (
     check_copula,
     check_quasicopula,
     monte_carlo_joint,
-    rectangle_volume,
     run_suite,
 )
 
@@ -94,18 +87,16 @@ __all__ = [
     "lifetime_min", "to_spec",
     "DegenerateModelError", "Generator", "GeneratorDomainError", "IdentityGenerator",
     "PiecewiseLinearGenerator", "TruncatedLinear", "UnitGenerator", "ZeroGenerator",
-    "extend_chi", "extend_phi", "extend_psi", "generator_from_spec", "tabulate",
-    "to_rmm", "validate",
+    "extend_chi", "extend_phi", "extend_psi", "generator_from_spec", "to_rmm",
+    "validate",
     "GeneratorVector", "MAX_DIMENSION", "joint_marshall_H", "joint_marshall_values",
     "joint_maxmin_H", "joint_maxmin_values", "joint_rmm_Hsigma", "joint_rmm_Hsigma_values",
     "joint_rmm_product", "joint_rmm_values", "marshall2", "marshall_n", "maxmin2",
     "maxmin_n", "rmm2", "rmm_n",
-    "BoundFamily", "PBox", "ShockModel", "build_bounds", "marshall_H_bounds",
-    "marshall_bound_copulas", "maxmin_H_bounds", "maxmin_bivariate_mixed_bounds",
-    "maxmin_bound_copulas", "rmm_H_bounds", "rmm_bivariate_copula_bounds",
-    "rmm_envelope", "rmm_envelope_full_scan", "rmm_envelope_full_scan_values",
-    "rmm_envelope_grid", "rmm_envelope_values",
+    "BoundFamily", "PBox", "ShockModel", "build_bounds", "maxmin_bivariate_mixed_bounds",
+    "rmm_bivariate_copula_bounds", "rmm_envelope", "rmm_envelope_full_scan",
+    "rmm_envelope_full_scan_values", "rmm_envelope_grid", "rmm_envelope_values",
     "DiscreteModelOracle", "check_copula", "check_quasicopula", "monte_carlo_joint",
-    "rectangle_volume", "run_suite",
+    "run_suite",
     "__version__",
 ]

@@ -89,9 +89,11 @@ def main() -> None:
               help="Points per axis on the uniform unit grid.")
 @click.option("--bound", default="lower", show_default=True,
               type=click.Choice(BOUND_CHOICES),
-              help="lower/upper select the copula built from the lower/upper "
-                   "bound generators (for the rmm family those surfaces order "
-                   "in reverse); envelope_inf/envelope_sup are the rmm min/max "
+              help="lower/upper select the copula of the lower/upper bound "
+                   "generators: bounds for marshall; not bounds for maxmin, "
+                   "whose member copulas can leave them; for rmm bounds in "
+                   "reverse order at n = 2 and not bounds for n >= 3. "
+                   "envelope_inf/envelope_sup are the rmm min/max "
                    "over all lower/upper generator vertex tuples (envelope_sup "
                    "is not a guaranteed upper bound over interior members of "
                    "the box for n >= 3).")

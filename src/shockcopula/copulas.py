@@ -130,7 +130,7 @@ def marshall_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray]) -> np.nd
     products run over ascending ``j`` with elementwise operations only, so
     every entry is the same float whatever the shape of the call.
     """
-    n = len(us)
+    n = _check_split(us, fs)
     best = None
     for i in range(n):
         term = us[i]
@@ -153,15 +153,12 @@ def maxmin_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) ->
 
     where dag is u_i/phi_i on the max block (0 where phi_i = 0, which the
     prefactor zeroes) and (u_j - chi_j) / (1 - chi_j) on the min block (1
-    at u_j = 1), and the max over an empty S\\K is 0.  The 2^(n-p) subsets
-    lie on a leading axis indexed by the bit mask of K, built by doubling,
-    so each chi product runs over ascending coordinates; the terms are
-    summed in mask order.  Every entry is the same float whatever the
-    shape of the call.
+    at u_j = 1), and the max over an empty S\\K is 0.  The subsets come
+    from :func:`_subsets`, so each chi product runs over ascending
+    coordinates; the terms are summed in mask order.  Every entry is the
+    same float whatever the shape of the call.
     """
-    n = len(us)
-    if not 1 <= p < n:
-        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
+    n = _check_split(us, fs, p)
     floor = prefactor = None
     for i in range(p):
         positive = fs[i] > 0.0
@@ -170,17 +167,44 @@ def maxmin_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) ->
         prefactor = fs[i] if prefactor is None else prefactor * fs[i]
     dags = [np.where(us[j] >= 1.0, 1.0, (us[j] - fs[j]) / np.where(fs[j] < 1.0, 1.0 - fs[j], 1.0))
             for j in range(p, n)]
-    block = np.empty((3, 1 << (n - p)) + np.broadcast_shapes(floor.shape, *(d.shape for d in dags)))
-    lo, hi, weight = block
-    lo[0], hi[0], weight[0] = floor, 0.0, 1.0
-    for b, dag in enumerate(dags):
-        # the subsets with coordinate p + b in K go after those without it
-        k = 1 << b
-        np.minimum(lo[:k], dag, out=lo[k:2 * k])
-        block[1:, k:2 * k] = block[1:, :k]
-        np.maximum(hi[:k], dag, out=hi[:k])
-        weight[:k] *= fs[p + b]
+    lo, hi, weight = _subsets(floor, 1.0, dags, fs[p:])
     return prefactor * np.add.accumulate(weight * np.maximum(lo - hi, 0.0), axis=0)[-1]
+
+
+def _check_split(us: Sequence, fs: Sequence, p: int | None = None) -> int:
+    """n = len(us), once ``fs`` is checked to hold one entry per coordinate
+    (a kernel's generator arrays, a joint law's coordinates) and, unless
+    ``p`` is None (Marshall, one block), ``p`` to split them as 1 <= p < n."""
+    n = len(us)
+    if len(fs) != n:
+        raise ValueError(f"expected {n} generator arrays, got {len(fs)}")
+    if p is not None and not 1 <= p < n:
+        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
+    return n
+
+
+def _subsets(floor: np.ndarray, weight: float | np.ndarray, keys: Sequence[np.ndarray],
+             factors) -> np.ndarray:
+    """The subsets K of a block of m coordinates as a ``(3, 2^m, ...)`` array.
+
+    Rows ``lo``, ``hi`` and ``weight`` of subset K are the min of ``floor``
+    and the keys in K, the max of 0.0 and the keys outside K, and ``weight``
+    times the factors outside K.  The subsets lie on the second axis indexed
+    by the bit mask of K, built by doubling, so each weight multiplies its
+    factors in ascending coordinates.  ``factors`` may be an iterator.
+    """
+    shape = np.broadcast_shapes(np.shape(floor), *(np.shape(key) for key in keys))
+    block = np.empty((3, 1 << len(keys)) + shape)
+    lo, hi, weights = block
+    lo[0], hi[0], weights[0] = floor, 0.0, weight
+    for b, (key, factor) in enumerate(zip(keys, factors)):
+        # the subsets with coordinate b in K go after those without it
+        k = 1 << b
+        np.minimum(lo[:k], key, out=lo[k:2 * k])
+        block[1:, k:2 * k] = block[1:, :k]
+        np.maximum(hi[:k], key, out=hi[:k])
+        weights[:k] *= factor
+    return block
 
 
 def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
@@ -200,11 +224,7 @@ def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np
     over ascending ``l`` with elementwise operations only, so every entry is
     the same float whatever the shape of the call.
     """
-    n = len(us)
-    if len(fs) != n:
-        raise ValueError(f"expected {n} generator arrays, got {len(fs)}")
-    if not 1 <= p < n:
-        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
+    n = _check_split(us, fs, p)
     if not (isinstance(us, np.ndarray) and isinstance(fs, np.ndarray) and us.shape == fs.shape):
         if len({np.shape(a) for a in (*us, *fs)}) > 1:
             return _rmm_pair_loop(us, fs, p)
@@ -392,6 +412,30 @@ def _by_slabs(kernel, groups: Sequence, outs: Sequence[np.ndarray], width: int =
 # ---------------------------------------------------------------------------
 
 
+def _check_family(family: str, n: int, p: int | None, what: str) -> None:
+    """Reject an unknown family, fewer than two or more than
+    :data:`MAX_DIMENSION` coordinates (``what`` names them), and a block
+    split ``p`` the family cannot take: None or n for marshall, an int with
+    1 <= p < n otherwise."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 2:
+        raise ValueError(f"need at least two {what}")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
+    if family == "marshall":
+        if p is not None and p != n:
+            raise ValueError("marshall has no min-type block; p must be None or n")
+    elif not isinstance(p, int) or not 1 <= p < n:
+        raise ValueError(f"{family} needs an int p with 1 <= p < n, got {p!r}")
+
+
+def _split(self) -> int:
+    """Size of the max-type block (n for marshall); the ``split`` property
+    of generator vectors, shock models and bound families."""
+    return self.n if self.family == "marshall" else self.p
+
+
 @dataclass(frozen=True)
 class GeneratorVector:
     """A family tag, an ordered tuple of generators, and a block split.
@@ -406,23 +450,13 @@ class GeneratorVector:
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        n = len(self.generators)
-        if n < 2:
-            raise ValueError("need at least two generators")
-        if n > MAX_DIMENSION:
-            raise ValueError(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
+        _check_family(self.family, len(self.generators), self.p, "generators")
         kinds = [g.kind for g in self.generators]
         if self.family == "marshall":
-            if self.p is not None and self.p != n:
-                raise ValueError("marshall has no min-type block; p must be None or n")
             bad = [k for k in kinds if k not in (PHI, PSI)]
             if bad:
                 raise ValueError(f"marshall expects phi/psi generators, got {bad}")
             return
-        if not isinstance(self.p, int) or not 1 <= self.p < n:
-            raise ValueError(f"{self.family} needs an int p with 1 <= p < n, got {self.p!r}")
         if self.family == "maxmin":
             want_max, want_min = (PHI, PSI), (CHI,)
         else:
@@ -439,10 +473,7 @@ class GeneratorVector:
     def n(self) -> int:
         return len(self.generators)
 
-    @property
-    def split(self) -> int:
-        """Size of the max-type block (n for marshall)."""
-        return self.n if self.family == "marshall" else self.p  # type: ignore[return-value]
+    split = property(_split)
 
     def values(self, us: Sequence[np.ndarray]) -> np.ndarray:
         """The copula at every entry of per-coordinate arrays that broadcast together.
@@ -552,10 +583,8 @@ def joint_maxmin_values(
     slab, as in :meth:`GeneratorVector.values`: a run of columns of a point
     stack, or a run along one axis of a grid.
     """
-    n = len(components)
     xs = _coordinate_arrays(components, xs)
-    if not 1 <= p < n:
-        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
+    n = _check_split(components, xs, p)
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
     shape = np.broadcast_shapes(*(x.shape for x in xs))
@@ -572,20 +601,10 @@ def joint_maxmin_values(
 def _joint_maxmin_slab(components: Sequence[DistributionFn], shock: DistributionFn,
                        xs: Sequence[np.ndarray], p: int) -> np.ndarray:
     """:func:`joint_maxmin_values` on one slab of its coordinate arrays."""
-    n = len(components)
-    shape = np.broadcast_shapes(*(x.shape for x in xs))
-    block = np.empty((3, 1 << (n - p)) + shape)
-    lo, hi, weight = block
-    lo[0] = functools.reduce(np.minimum, xs[:p])
-    hi[0] = 0.0
-    weight[0] = _product_of_values(components[:p], xs[:p])
-    for b, x in enumerate(xs[p:]):
-        # the subsets with coordinate p + b in K go after those without it
-        k = 1 << b
-        np.minimum(lo[:k], x, out=lo[k:2 * k])
-        block[1:, k:2 * k] = block[1:, :k]
-        np.maximum(hi[:k], x, out=hi[:k])
-        weight[:k] *= components[p + b].values(x)
+    lo, hi, weight = _subsets(functools.reduce(np.minimum, xs[:p]),
+                              _product_of_values(components[:p], xs[:p]), xs[p:],
+                              (c.values(x) for c, x in zip(components[p:], xs[p:])))
+    shape = lo.shape[1:]
     # the last mask, K = S, leaves S\K empty: its F_Z term is 0, not asked
     fz_hi, fz_lo = _shock_at(shock, lo, hi[:-1])
     fz_lo = np.concatenate([fz_lo, np.zeros((1,) + shape)])
@@ -610,10 +629,8 @@ def joint_rmm_values(
 
     with both products over ascending coordinates.
     """
-    n = len(components)
     xs = _coordinate_arrays(components, xs)
-    if not 1 <= p < n:
-        raise ValueError(f"partition must satisfy 1 <= p < n, got p={p!r} for n={n}")
+    n = _check_split(components, xs, p)
     ft = _product_of_values(components[:p], xs[:p])
     fs_hat = functools.reduce(np.multiply,
                               (1.0 - components[j].values(xs[j]) for j in range(p, n)))

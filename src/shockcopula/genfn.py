@@ -78,7 +78,6 @@ __all__ = [
     "extend_psi",
     "extend_chi",
     "to_rmm",
-    "tabulate",
     "validate",
     "ValidationIssue",
     "ValidationReport",
@@ -234,6 +233,39 @@ def _remembered_call(gen, u: float) -> float:
     return value
 
 
+def _value_with_largest_x0(gen, u: float) -> float:
+    """gen(u) of an extended generator at the largest preimage instead of
+    the smallest; it always searches.  Both extended classes use it."""
+    u = float(u)
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    return gen._value_at(u, gen.lifetime.largest_preimage(u))
+
+
+def _consistency_gap(gen, us) -> float:
+    """max |gen(u) - gen.value_with_largest_x0(u)| over the arguments in (0, 1),
+    the x0-choice gap of an extended generator (theoretically zero)."""
+    gap = 0.0
+    for u in us:
+        if 0.0 < u < 1.0:
+            gap = max(gap, abs(gen(u) - gen.value_with_largest_x0(u)))
+    return gap
+
+
+def _breakpoints(gen) -> tuple[float, ...]:
+    """Breakpoints of an extended generator: 0, 1, and at each jump of its
+    lifetime the lifetime's limits and the middle branch's ends."""
+    pts = {0.0, 1.0}
+    lifetime = gen.lifetime
+    for xj in lifetime.jump_points():
+        pts.add(lifetime.left_limit(xj))
+        pts.add(lifetime.right_limit(xj))
+        pts.update(gen.rows[xj][3:])
+    return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
+
+
 def _step_table(lifetime: DistributionFn, rows: dict[float, tuple[float, ...]],
                 shift: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The jump rows of an extended generator as arrays, where its lifetime
@@ -319,14 +351,9 @@ class ExtendedMaxGenerator(Generator):
 
     __call__ = _remembered_call
     values = _step_values
-
-    def value_with_largest_x0(self, u: float) -> float:
-        u = float(u)
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0:
-            return 1.0
-        return self._value_at(u, self.lifetime.largest_preimage(u))
+    value_with_largest_x0 = _value_with_largest_x0
+    consistency_gap = _consistency_gap
+    breakpoints = _breakpoints
 
     def _value_at(self, u: float, x0: float) -> float:
         row = self.rows.get(x0)
@@ -338,17 +365,6 @@ class ExtendedMaxGenerator(Generator):
                 )
             return u / z
         return lo if u < u_l else hi
-
-    def consistency_gap(self, us) -> float:
-        """max |phi(smallest x0) - phi(largest x0)| over the given arguments."""
-        gap = 0.0
-        for u in us:
-            if 0.0 < u < 1.0:
-                gap = max(gap, abs(self(u) - self.value_with_largest_x0(u)))
-        return gap
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return _breakpoints(self.lifetime, self.rows)
 
 
 @dataclass(frozen=True)
@@ -382,14 +398,9 @@ class ExtendedMinGenerator(Generator):
 
     __call__ = _remembered_call
     values = _step_values
-
-    def value_with_largest_x0(self, v: float) -> float:
-        v = float(v)
-        if v <= 0.0:
-            return 0.0
-        if v >= 1.0:
-            return 1.0
-        return self._value_at(v, self.lifetime.largest_preimage(v))
+    value_with_largest_x0 = _value_with_largest_x0
+    consistency_gap = _consistency_gap
+    breakpoints = _breakpoints
 
     def _value_at(self, v: float, y0: float) -> float:
         row = self.rows.get(y0)
@@ -401,26 +412,6 @@ class ExtendedMinGenerator(Generator):
                 )
             return (v - z) / (1.0 - z)
         return lo if v < v_l else hi
-
-    def consistency_gap(self, vs) -> float:
-        gap = 0.0
-        for v in vs:
-            if 0.0 < v < 1.0:
-                gap = max(gap, abs(self(v) - self.value_with_largest_x0(v)))
-        return gap
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return _breakpoints(self.lifetime, self.rows)
-
-
-def _breakpoints(lifetime: DistributionFn, rows: dict[float, tuple[float, ...]]) -> tuple[float, ...]:
-    """0, 1, and at each jump the lifetime's limits and the middle branch's ends."""
-    pts = {0.0, 1.0}
-    for xj in lifetime.jump_points():
-        pts.add(lifetime.left_limit(xj))
-        pts.add(lifetime.right_limit(xj))
-        pts.update(rows[xj][3:])
-    return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
 
 
 def extend_phi(component: DistributionFn, shock: DistributionFn) -> ExtendedMaxGenerator:
@@ -608,10 +599,9 @@ class ZeroGenerator(Generator):
 class PiecewiseLinearGenerator(Generator):
     """Tabulated generator: linear interpolation through (us, vs) nodes.
 
-    Intended for user-supplied tables and for freezing other generators via
-    :func:`tabulate`.  Node values are reproduced exactly; between nodes the
-    table interpolates, so a jump of the underlying function is represented
-    by a steep segment between neighbouring nodes.
+    Intended for user-supplied tables.  Node values are reproduced exactly;
+    between nodes the table interpolates, so a jump of the underlying
+    function is represented by a steep segment between neighbouring nodes.
     """
 
     kind: str
@@ -644,14 +634,6 @@ class PiecewiseLinearGenerator(Generator):
 
     def breakpoints(self) -> tuple[float, ...]:
         return self.us
-
-
-def tabulate(gen: Generator, nodes: int = 2049) -> PiecewiseLinearGenerator:
-    """Freeze a generator onto a uniform grid enriched with its breakpoints."""
-    if nodes < 2:
-        raise ValueError("need at least two nodes")
-    us = sorted({i / (nodes - 1) for i in range(nodes)} | set(gen.breakpoints()))
-    return PiecewiseLinearGenerator(gen.kind, tuple(us), tuple(gen(u) for u in us))
 
 
 # ---------------------------------------------------------------------------

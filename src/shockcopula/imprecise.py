@@ -26,7 +26,6 @@ all go through it, points and stacks in a stacked form, grids axis by axis.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,12 +33,13 @@ from typing import Sequence
 import numpy as np
 
 from .copulas import (
-    MAX_DIMENSION,
     GeneratorVector,
     _by_slabs,
+    _check_family,
     _grid_arrays,
     _pair_layout,
     _rmm_stack,
+    _split,
     _tables,
     rmm_values,
 )
@@ -59,23 +59,15 @@ __all__ = [
     "ShockModel",
     "BoundFamily",
     "build_bounds",
-    "marshall_bound_copulas",
-    "maxmin_bound_copulas",
     "maxmin_bivariate_mixed_bounds",
     "rmm_bivariate_copula_bounds",
     "H_bounds_values",
-    "marshall_H_bounds",
-    "maxmin_H_bounds",
-    "rmm_H_bounds",
     "rmm_envelope",
     "rmm_envelope_full_scan",
     "rmm_envelope_full_scan_values",
     "rmm_envelope_grid",
     "rmm_envelope_values",
-    "maxmin_vertex_scan",
 ]
-
-_FAMILIES = ("marshall", "maxmin", "rmm")
 
 
 def _probe_points(*dists: DistributionFn) -> list[float]:
@@ -153,9 +145,7 @@ class PBox:
         """theta*lower + (1-theta)*upper; theta=1 is the lower bound."""
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-        if self.is_degenerate:
-            return self.lower
-        if theta == 1.0:
+        if self.is_degenerate or theta == 1.0:
             return self.lower
         if theta == 0.0:
             return self.upper
@@ -188,26 +178,13 @@ class ShockModel:
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        n = len(self.endogenous)
-        if n < 2:
-            raise ValueError("need at least two endogenous components")
-        if n > MAX_DIMENSION:
-            raise ValueError(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
-        if self.family == "marshall":
-            if self.p is not None and self.p != n:
-                raise ValueError("marshall has no min-type block; p must be None or n")
-        elif not isinstance(self.p, int) or not 1 <= self.p < n:
-            raise ValueError(f"{self.family} needs an int p with 1 <= p < n, got {self.p!r}")
+        _check_family(self.family, len(self.endogenous), self.p, "endogenous components")
 
     @property
     def n(self) -> int:
         return len(self.endogenous)
 
-    @property
-    def split(self) -> int:
-        return self.n if self.family == "marshall" else self.p  # type: ignore[return-value]
+    split = property(_split)
 
     @property
     def is_precise(self) -> bool:
@@ -277,9 +254,7 @@ class BoundFamily:
     def n(self) -> int:
         return len(self.lower_G)
 
-    @property
-    def split(self) -> int:
-        return self.n if self.family == "marshall" else self.p  # type: ignore[return-value]
+    split = property(_split)
 
 
 def build_bounds(model: ShockModel) -> BoundFamily:
@@ -335,23 +310,6 @@ def _require_family(bf: BoundFamily, family: str, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def marshall_bound_copulas(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
-    """(lower, upper) Marshall copula values at the same argument point."""
-    _require_family(bf, "marshall", "marshall_bound_copulas")
-    return bf.lower_gen(u), bf.upper_gen(u)
-
-
-def maxmin_bound_copulas(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
-    """Maxmin copulas of the lower and upper generator vectors at the same u.
-
-    These bound the composed joint surfaces; at a fixed copula argument
-    their order is not guaranteed (the bivariate copula-level sandwich
-    uses mixed bounds, see :func:`maxmin_bivariate_mixed_bounds`).
-    """
-    _require_family(bf, "maxmin", "maxmin_bound_copulas")
-    return bf.lower_gen(u), bf.upper_gen(u)
-
-
 def _maxmin_mixed_vectors(bf: BoundFamily) -> tuple[GeneratorVector, GeneratorVector]:
     """(phi_lo, chi_hi) and (phi_hi, chi_lo), the bivariate mixed-bound vectors."""
     _require_family(bf, "maxmin", "maxmin_bivariate_mixed_bounds")
@@ -397,35 +355,6 @@ def H_bounds_values(bf: BoundFamily, xs: Sequence[np.ndarray]) -> tuple[np.ndarr
         p = bf.split
         lo[p:], hi[p:] = [1.0 - h for h in hi[p:]], [1.0 - l for l in lo[p:]]
     return bf.lower_gen.values(lo), bf.upper_gen.values(hi)
-
-
-def _H_bounds(family: str, model: ShockModel, x, bounds: BoundFamily | None) -> tuple[float, float]:
-    bf = bounds if bounds is not None else build_bounds(model)
-    _require_family(bf, family, f"{family}_H_bounds")
-    lo, hi = H_bounds_values(bf, [[xi] for xi in x])
-    return float(lo[0]), float(hi[0])
-
-
-def marshall_H_bounds(
-    model: ShockModel, x: Sequence[float], bounds: BoundFamily | None = None
-) -> tuple[float, float]:
-    """:func:`H_bounds_values` of a marshall model at one point."""
-    return _H_bounds("marshall", model, x, bounds)
-
-
-def maxmin_H_bounds(
-    model: ShockModel, x: Sequence[float], bounds: BoundFamily | None = None
-) -> tuple[float, float]:
-    """:func:`H_bounds_values` of a maxmin model at one point."""
-    return _H_bounds("maxmin", model, x, bounds)
-
-
-def rmm_H_bounds(
-    model: ShockModel, x: Sequence[float], bounds: BoundFamily | None = None
-) -> tuple[float, float]:
-    """:func:`H_bounds_values` of an rmm model at one point, bounds on the
-    reflected joint P(U_T <= x_T, U_S > x_S)."""
-    return _H_bounds("rmm", model, x, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -677,43 +606,3 @@ def rmm_envelope_full_scan(bf: BoundFamily, u: Sequence[float]) -> tuple[float, 
     low, high = rmm_envelope_full_scan_values(bf, np.array(u, dtype=float)[:, None])
     return float(low[0]), float(high[0])
 
-
-def maxmin_vertex_scan(
-    model: ShockModel,
-    points: Sequence[Sequence[float]],
-    thetas: Sequence[float] = (0.25, 0.5, 0.75),
-    bounds: BoundFamily | None = None,
-) -> dict:
-    """Diagnostic: are maxmin copula values of interior models inside the
-    vertex-tuple min/max at each point?
-
-    No theorem backs an affirmative answer, so the result is a report (per
-    point: vertex min/max, worst interior excursion), never an assertion.
-    """
-    bf = bounds if bounds is not None else build_bounds(model)
-    _require_family(bf, "maxmin", "maxmin_vertex_scan")
-    n, p = bf.n, bf.split
-    us = np.array(points, dtype=float).reshape(-1, n).T
-    vertex = np.array([GeneratorVector("maxmin", gens, p).values(us) for gens in
-                       itertools.product(*zip(bf.lower_gen.generators, bf.upper_gen.generators))])
-    interior = [
-        build_bounds(model.member_model([t] * n)).lower_gen.values(us).tolist() for t in thetas
-    ]
-    worst = 0.0
-    outside = 0
-    rows = []
-    for u, vmin, vmax, *cs in zip(points, vertex.min(axis=0).tolist(), vertex.max(axis=0).tolist(),
-                                  *interior):
-        for c in cs:
-            exc = max(vmin - c, c - vmax, 0.0)
-            if exc > 1e-12:
-                outside += 1
-                worst = max(worst, exc)
-                rows.append({"point": list(u), "value": c, "vertex_min": vmin, "vertex_max": vmax})
-    return {
-        "points": len(points),
-        "interior_members": len(thetas),
-        "outside": outside,
-        "worst_excursion": worst,
-        "witnesses": rows[:5],
-    }

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .copulas import (
 )
 from .distfn import (
     Clamp,
-    Convex,
     DiracStep,
     Discrete,
     DistributionFn,
@@ -41,7 +40,7 @@ from .distfn import (
     Switch,
     Uniform,
 )
-from .genfn import extend_chi, extend_phi, to_rmm, TruncatedLinear
+from .genfn import TruncatedLinear
 from .imprecise import (
     BoundFamily,
     PBox,
@@ -52,7 +51,6 @@ from .imprecise import (
     _maxmin_mixed_vectors,
     _vertex_tables,
     build_bounds,
-    maxmin_vertex_scan,
     rmm_envelope_grid,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "OracleError",
     "UnsupportedSamplingError",
     "CheckReport",
-    "rectangle_volume",
     "copula_grid",
     "check_copula",
     "check_quasicopula",
@@ -99,29 +96,8 @@ class UnsupportedSamplingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# rectangle volumes and axiom checks
+# check reports and axiom checks
 # ---------------------------------------------------------------------------
-
-
-def rectangle_volume(C: Callable[[Sequence[float]], float], box: Sequence[tuple[float, float]]) -> float:
-    """Signed C-volume of a box by corner inclusion-exclusion."""
-    n = len(box)
-    for lo, hi in box:
-        if lo > hi:
-            raise ValueError(f"degenerate box side ({lo!r}, {hi!r})")
-    total = 0.0
-    for mask in range(1 << n):
-        corner = []
-        lows = 0
-        for k in range(n):
-            if mask >> k & 1:
-                corner.append(box[k][0])
-                lows += 1
-            else:
-                corner.append(box[k][1])
-        val = C(corner)
-        total += val if lows % 2 == 0 else -val
-    return total
 
 
 @dataclass
@@ -805,6 +781,18 @@ def _theorem_checks_rmm(rng, model, idx, points, reports) -> None:
         r.instances += 1
 
 
+# each family's theorem checks, in the order a report lists them
+_THEOREM_CHECKS = (
+    ("marshall", ("copula-sandwich", "composed-sandwich", "H-composition", "defining-relation",
+                  "star-identity")),
+    ("maxmin", ("composed-sandwich", "H-composition", "defining-relation", "dagger-identity",
+                "bivariate-mixed-sandwich")),
+    ("rmm", ("generator-order", "marginal-order", "defining-relation", "star-products",
+             "composed-sandwich", "H-composition", "envelope-inf-reduction",
+             "envelope-sup-bounded", "bivariate-copula-sandwich")),
+)
+
+
 def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instance: int = 1000) -> dict:
     """Order and identity statements for bound families of random p-box models.
 
@@ -835,38 +823,16 @@ def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instanc
     whose ``max_sup_gap`` diagnostic records the largest absolute gap).
     """
     rng = philox_stream(seed, 307)
-    checks: list[CheckReport] = []
-
-    marshall_reports = {
-        name: CheckReport(f"marshall-{name}", 0)
-        for name in ("copula-sandwich", "composed-sandwich", "H-composition",
-                     "defining-relation", "star-identity")
-    }
-    maxmin_reports = {
-        name: CheckReport(f"maxmin-{name}", 0)
-        for name in ("composed-sandwich", "H-composition", "defining-relation",
-                     "dagger-identity", "bivariate-mixed-sandwich")
-    }
-    rmm_reports = {
-        name: CheckReport(f"rmm-{name}", 0)
-        for name in ("generator-order", "marginal-order", "defining-relation",
-                     "star-products", "composed-sandwich", "H-composition",
-                     "envelope-inf-reduction", "envelope-sup-bounded",
-                     "bivariate-copula-sandwich")
-    }
-
+    reports = {family: {name: CheckReport(f"{family}-{name}", 0) for name in names}
+               for family, names in _THEOREM_CHECKS}
+    run = {"marshall": _theorem_checks_marshall, "maxmin": _theorem_checks_maxmin,
+           "rmm": _theorem_checks_rmm}
     for idx in range(instances_per_family):
         n = _FAMILY_CYCLE_N[idx % len(_FAMILY_CYCLE_N)]
-        _theorem_checks_marshall(rng, random_pbox_shock_model(rng, "marshall", n), idx,
-                                 points_per_instance, marshall_reports)
-        _theorem_checks_maxmin(rng, random_pbox_shock_model(rng, "maxmin", n), idx,
-                               points_per_instance, maxmin_reports)
-        _theorem_checks_rmm(rng, random_pbox_shock_model(rng, "rmm", n), idx,
-                            points_per_instance, rmm_reports)
-
-    checks.extend(marshall_reports.values())
-    checks.extend(maxmin_reports.values())
-    checks.extend(rmm_reports.values())
+        for family, family_reports in reports.items():
+            run[family](rng, random_pbox_shock_model(rng, family, n), idx, points_per_instance,
+                        family_reports)
+    checks = [report for family_reports in reports.values() for report in family_reports.values()]
 
     # envelope surfaces are quasi-copulas; scan one modest instance per call
     env_model = random_pbox_shock_model(rng, "rmm", 3)
@@ -878,14 +844,6 @@ def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instanc
                                 label=f"envelope-{tag}")
         quasi.failures.extend(sub.failures)
     checks.append(quasi)
-
-    scan = maxmin_vertex_scan(
-        random_pbox_shock_model(rng, "maxmin", 3),
-        _unit_points(rng, 50, 3),
-    )
-    vertex = CheckReport("maxmin-vertex-scan-diagnostic", 1)
-    vertex.diagnostics.update(scan)
-    checks.append(vertex)
 
     return _suite_result("theorems", seed, checks)
 

@@ -272,6 +272,17 @@ def test_rmm_from_values_validates_shapes():
         rmm_values((0.5, 0.5), (0.0, 0.0), 2)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda us, fs: copulas.marshall_values(us, fs),
+    lambda us, fs: copulas.maxmin_values(us, fs, 1),
+    lambda us, fs: rmm_values(us, fs, 1),
+], ids=["marshall", "maxmin", "rmm"])
+def test_kernels_reject_a_generator_list_of_another_length(kernel):
+    for fs in ([0.6, 0.7, 0.9], [0.6], np.full((3, 4), 0.6)):
+        with pytest.raises(ValueError, match="expected 2 generator arrays"):
+            kernel([np.full(4, 0.5)] * 2, fs)
+
+
 # -- generator vectors -----------------------------------------------------------
 
 

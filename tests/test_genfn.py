@@ -33,7 +33,6 @@ from shockcopula.genfn import (
     extend_phi,
     extend_psi,
     generator_from_spec,
-    tabulate,
     to_rmm,
     validate,
 )
@@ -253,16 +252,6 @@ def test_piecewise_linear_generator_interpolates_exactly():
         PiecewiseLinearGenerator("phi", (0.1, 1.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         PiecewiseLinearGenerator("phi", (0.0, 0.5, 0.5, 1.0), (0.0, 0.2, 0.4, 1.0))
-
-
-def test_tabulate_freezes_node_values():
-    phi = exp_dirac_phi()
-    table = tabulate(phi, nodes=257)
-    assert table.kind == "phi"
-    for u in table.us:
-        assert table(u) == phi(u)
-    # breakpoints of the source are nodes of the table
-    assert set(phi.breakpoints()) <= set(table.us)
 
 
 # -- validation ----------------------------------------------------------------

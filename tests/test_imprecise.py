@@ -35,17 +35,13 @@ from shockcopula.imprecise import (
     PBox,
     ShockModel,
     build_bounds,
-    marshall_H_bounds,
     maxmin_bivariate_mixed_bounds,
-    maxmin_H_bounds,
-    maxmin_vertex_scan,
     rmm_bivariate_copula_bounds,
     rmm_envelope,
     rmm_envelope_full_scan,
     rmm_envelope_full_scan_values,
     rmm_envelope_grid,
     rmm_envelope_values,
-    rmm_H_bounds,
 )
 from shockcopula.verify import copula_grid, philox_stream, random_pbox_shock_model
 
@@ -64,6 +60,12 @@ DSHOCK = Discrete(((0.5, 0.25), (2.0, 0.75)))
 def rate_box_model(family="rmm", n=2, p=1):
     boxes = tuple(PBox(Exponential(1.0), Exponential(2.0)) for _ in range(n))
     return ShockModel(family, boxes, DiracStep(1.0), None if family == "marshall" else p)
+
+
+def H_bounds_at(bf, points):
+    """:func:`H_bounds_values` over a stack of points, as (lower, upper) pairs of floats."""
+    lows, highs = H_bounds_values(bf, np.array(points, dtype=float).T)
+    return list(zip(lows.tolist(), highs.tolist()))
 
 
 # -- p-boxes ---------------------------------------------------------------------
@@ -299,8 +301,8 @@ def test_degenerate_boxes_collapse_every_bound():
         for v in UGRID:
             lo, hi = rmm_envelope(bf, (u, v))
             assert lo == hi
-    for x in itertools.product(XGRID, repeat=2):
-        lo, hi = rmm_H_bounds(model, x, bf)
+    points = list(itertools.product(XGRID, repeat=2))
+    for x, (lo, hi) in zip(points, H_bounds_at(bf, points)):
         assert lo == hi
         assert abs(lo - joint_rmm_product((DLOW, DHIGH), DSHOCK, x, 1)) < 1e-12
 
@@ -309,25 +311,25 @@ def test_degenerate_boxes_collapse_every_bound():
 
 
 def test_rmm_H_bounds_match_the_rate_box_closed_form():
-    model = rate_box_model()
-    for x, y in ((1.5, 0.5), (2.0, 0.25), (1.25, 0.75)):
-        lo, hi = rmm_H_bounds(model, (x, y))
+    points = ((1.5, 0.5), (2.0, 0.25), (1.25, 0.75), (0.5, 0.25))
+    bounds = H_bounds_at(build_bounds(rate_box_model()), points)
+    for (x, y), (lo, hi) in zip(points[:3], bounds):
         want_lo = (1.0 - math.exp(-x)) * math.exp(-2.0 * y)
         want_hi = (1.0 - math.exp(-2.0 * x)) * math.exp(-y)
         assert abs(lo - want_lo) < 1e-12
         assert abs(hi - want_hi) < 1e-12
     # below the shock time the max lifetime cannot have happened
-    assert rmm_H_bounds(model, (0.5, 0.25)) == (0.0, 0.0)
+    assert bounds[3] == (0.0, 0.0)
 
 
 def test_rmm_H_bounds_sandwich_member_models():
     model = rate_box_model()
-    bf = build_bounds(model)
+    points = list(itertools.product(XGRID, repeat=2))
+    bounds = H_bounds_at(build_bounds(model), points)
     for thetas in ((0.0, 0.0), (1.0, 1.0), (0.3, 0.8)):
         member = model.member_model(thetas)
         comps = member.precise_marginals()
-        for x in itertools.product(XGRID, repeat=2):
-            lo, hi = rmm_H_bounds(model, x, bf)
+        for x, (lo, hi) in zip(points, bounds):
             exact = joint_rmm_product(comps, member.exogenous, x, 1)
             assert lo - 1e-12 <= exact <= hi + 1e-12, (thetas, x)
 
@@ -335,11 +337,11 @@ def test_rmm_H_bounds_sandwich_member_models():
 def test_marshall_H_bounds_sandwich_member_models():
     boxes = (PBox(DLOW, DHIGH), PBox(Exponential(1.0), Exponential(2.0)))
     model = ShockModel("marshall", boxes, DSHOCK)
-    bf = build_bounds(model)
+    points = list(itertools.product(XGRID, repeat=2))
+    bounds = H_bounds_at(build_bounds(model), points)
     for thetas in ((0.0, 1.0), (0.5, 0.5), (1.0, 0.0)):
         comps = model.member_model(thetas).precise_marginals()
-        for x in itertools.product(XGRID, repeat=2):
-            lo, hi = marshall_H_bounds(model, x, bf)
+        for x, (lo, hi) in zip(points, bounds):
             exact = joint_marshall_H(comps, DSHOCK, x)
             assert lo - 1e-12 <= exact <= hi + 1e-12, (thetas, x)
 
@@ -347,11 +349,11 @@ def test_marshall_H_bounds_sandwich_member_models():
 def test_maxmin_H_bounds_sandwich_member_models():
     boxes = (PBox(DLOW, DHIGH), PBox(DLOW, DHIGH), PBox(DLOW, DHIGH))
     model = ShockModel("maxmin", boxes, DSHOCK, 2)
-    bf = build_bounds(model)
+    points = list(itertools.product(XGRID, repeat=3))
+    bounds = H_bounds_at(build_bounds(model), points)
     for thetas in ((0.0, 0.5, 1.0), (1.0, 1.0, 1.0), (0.25, 0.75, 0.5)):
         comps = model.member_model(thetas).precise_marginals()
-        for x in itertools.product(XGRID, repeat=3):
-            lo, hi = maxmin_H_bounds(model, x, bf)
+        for x, (lo, hi) in zip(points, bounds):
             exact = joint_maxmin_H(comps, DSHOCK, x, 2)
             assert lo - 1e-12 <= exact <= hi + 1e-12, (thetas, x)
 
@@ -378,21 +380,14 @@ def test_marshall_bound_copulas_are_the_bound_vectors_and_sandwich_member_copula
     members = [build_bounds(model.member_model(thetas)).lower_gen
                for thetas in itertools.product((0.0, 0.5, 1.0), repeat=3)]
     for u in itertools.product(UGRID[::2], repeat=3):
-        lo, hi = imprecise.marshall_bound_copulas(bf, u)
-        assert (lo, hi) == (bf.lower_gen(u), bf.upper_gen(u))
+        lo, hi = bf.lower_gen(u), bf.upper_gen(u)
         for gv in members:
             assert lo - 1e-12 <= gv(u) <= hi + 1e-12, u
-    with pytest.raises(ValueError, match="marshall"):
-        imprecise.marshall_bound_copulas(build_bounds(rate_box_model()), (0.5, 0.5))
 
 
 def test_bound_surfaces_require_the_right_family():
     model = rate_box_model()
     bf = build_bounds(model)
-    with pytest.raises(ValueError):
-        marshall_H_bounds(model, (1.0, 1.0), bf)
-    with pytest.raises(ValueError):
-        maxmin_H_bounds(model, (1.0, 1.0), bf)
     with pytest.raises(ValueError):
         maxmin_bivariate_mixed_bounds(bf, (0.5, 0.5))
     marshall_bf = build_bounds(ShockModel("marshall", model.endogenous, model.exogenous))
@@ -737,16 +732,3 @@ def test_from_spec_rejects_a_non_integer_split():
             ShockModel.from_spec(dict(spec, p=p))
     assert ShockModel.from_spec(dict(spec, p=2)).p == 2
 
-
-def test_vertex_scan_reports_cleanly():
-    boxes = (PBox(DLOW, DHIGH), PBox(DLOW, DHIGH))
-    model = ShockModel("maxmin", boxes, DSHOCK, 1)
-    points = [(u, v) for u in (0.2, 0.5, 0.8) for v in (0.3, 0.7)]
-    report = maxmin_vertex_scan(model, points)
-    assert report["points"] == len(points)
-    assert report["interior_members"] == 3
-    assert report["outside"] >= 0
-    assert isinstance(report["witnesses"], list)
-    precise = ShockModel("maxmin", (PBox.precise(DLOW), PBox.precise(DHIGH)), DSHOCK, 1)
-    clean = maxmin_vertex_scan(precise, points)
-    assert clean["outside"] == 0 and clean["worst_excursion"] == 0.0

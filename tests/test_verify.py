@@ -29,7 +29,6 @@ from shockcopula.verify import (
     random_member,
     random_pbox_shock_model,
     random_shock_model,
-    rectangle_volume,
     run_suite,
     suite_axioms,
     suite_montecarlo,
@@ -37,7 +36,6 @@ from shockcopula.verify import (
     suite_theorems,
 )
 
-PRODUCT = lambda u: math.prod(u)
 MINIMUM = lambda u: min(u)
 
 
@@ -49,18 +47,6 @@ def shift_copula(s):
         return min(x, max(0.0, y - s)) + max(0.0, min(x, y + 1.0 - s) - (1.0 - s))
 
     return C
-
-
-# -- rectangle volumes -------------------------------------------------------------
-
-
-def test_rectangle_volume_closed_forms():
-    assert abs(rectangle_volume(PRODUCT, [(0.2, 0.5), (0.1, 0.7)]) - 0.3 * 0.6) < 1e-15
-    assert rectangle_volume(MINIMUM, [(0.6, 0.9), (0.1, 0.4)]) == 0.0
-    vol3 = rectangle_volume(PRODUCT, [(0.0, 0.5), (0.0, 0.5), (0.0, 0.5)])
-    assert abs(vol3 - 0.125) < 1e-15
-    with pytest.raises(ValueError):
-        rectangle_volume(PRODUCT, [(0.5, 0.2), (0.1, 0.7)])
 
 
 def test_check_report_caps_stored_failures():
