@@ -234,14 +234,20 @@ def rmm_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np
     return _rmm_stack(us.reshape(n, entries), fs.reshape(n, entries), p).reshape(us.shape[1:])
 
 
-def _rmm_pair_loop(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """:func:`rmm_values` one pair at a time, each pair term at its own broadcast shape."""
+def _rmm_pair_loop(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int,
+                   own: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """:func:`rmm_values` one pair at a time, each pair term at its own broadcast shape.
+
+    ``own``, where given, holds the generator values of each pair's first
+    factor ``u_i*u_j - f_i*f_j`` in place of ``fs``.
+    """
     n = len(us)
+    own = fs if own is None else own
     shifted = [us[l] + fs[l] for l in range(n)]
     best = None
     for i in range(p):
         for j in range(p, n):
-            t = us[i] * us[j] - fs[i] * fs[j]
+            t = us[i] * us[j] - own[i] * own[j]
             rest = None
             for l in range(n):
                 if l != i and l != j:
@@ -252,41 +258,43 @@ def _rmm_pair_loop(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) -
     return np.maximum(best, 0.0)
 
 
-def _rmm_stack(u: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
+def _rmm_stack(u: np.ndarray, f: np.ndarray, p: int, own: np.ndarray | None = None) -> np.ndarray:
     """:func:`rmm_values` of a stack: ``u`` is ``(n, E)``, ``f`` is ``(n, ..., E)``.
 
     Middle axes of ``f`` hold generator tuples evaluated at the same
-    points; the result is ``(..., E)``.  The factors ``u_l + f_l`` of all
-    p(n - p) pair terms lie on one ``(n, pairs, ..., E)`` array, pairs
-    i-major, with an exact 1.0 at each pair's own two coordinates, and are
-    multiplied along the leading axis.  A multiply reduction runs in index
-    order (numpy pairs only its add reductions), so each term is the float
-    the pair loop computes, its product over ascending ``l``.
+    points; the result is ``(..., E)``.  ``own``, of the shape of ``f``
+    where given, holds the generator values of each pair's first factor, as
+    in :func:`_rmm_pair_loop`.  The factors ``u_l + f_l`` of all p(n - p)
+    pair terms lie on one ``(n, pairs, ..., E)`` array, pairs i-major, with
+    an exact 1.0 at each pair's own two coordinates, and are multiplied
+    along the leading axis.  A multiply reduction runs in index order (numpy
+    pairs only its add reductions), so each term is the float the pair loop
+    computes, its product over ascending ``l``.
     """
     n = len(u)
-    pairs, _, rows = _pair_layout(n, p)
+    pairs, rows = _pair_layout(n, p)
     u = u.reshape(u.shape[:1] + (1,) * (f.ndim - 2) + u.shape[1:])
     # row n of the factor table is the 1.0 that stands in for l = i and l = j
     shifted = np.empty((n + 1,) + f.shape[1:])
     shifted[n] = 1.0
     np.add(u, f, out=shifted[:n])
     rest = np.multiply.reduce(shifted[rows], axis=0)
-    (u_i, u_j), (f_i, f_j) = u[pairs], f[pairs]
+    (u_i, u_j), (f_i, f_j) = u[pairs], (f if own is None else own)[pairs]
     return np.maximum(np.minimum.reduce((u_i * u_j - f_i * f_j) * rest, axis=0), 0.0)
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates i and j of the pairs (i < p <= j) in i-major order,
-    as a (2, pairs) array; the (n, pairs) mask of l in {i, j}; and the rows
-    of each pair's factors, l or, where the mask holds, n."""
+    as a (2, pairs) array, and the (n, pairs) rows of each pair's factors:
+    l, or n where l is i or j."""
     pairs = np.array([(i, j) for i in range(p) for j in range(p, n)]).T
     own = (np.arange(n)[:, None, None] == pairs).any(axis=1)
     rows = np.where(own, n, np.arange(n)[:, None])
     # the cache hands the same arrays to every call
-    for table in (pairs, own, rows):
+    for table in (pairs, rows):
         table.flags.writeable = False
-    return pairs, own, rows
+    return pairs, rows
 
 
 def marshall_n(gens: Sequence[Generator], u: Sequence[float]) -> float:

@@ -13,24 +13,23 @@ Five kinds of generator are distinguished by a string tag:
 
 The central constructors are :func:`extend_phi`, :func:`extend_psi` and
 :func:`extend_chi`, which build the canonical generator of a shock-model
-lifetime from the component distribution and the shock distribution.  For a
-max-type lifetime G = F_X * F_Z the extension evaluates, for u in (0, 1),
+lifetime G from the component distribution F and the shock distribution F_Z:
+G = F * F_Z (max-type, phi and psi) or G = F + F_Z - F F_Z (min-type, chi).
+All three are one class, :class:`ExtendedGenerator`.  For u in (0, 1) it
+evaluates
 
-    x0  = smallest point with G(x0-) <= u <= G(x0+)
-    u_l = F_X(x0-) * F_Z(x0),   u_u = F_X(x0+) * F_Z(x0)
+    x0        = smallest point with G(x0-) <= u <= G(x0+)
+    edge_lo   = G's formula at F(x0-) and F_Z(x0)
+    edge_hi   = G's formula at F(x0+) and F_Z(x0)
 
-    phi(u) = u / F_Z(x0)   if u_l <= u <= u_u   (checked first, so ties at
-             F_X(x0-)      if u < u_l            branch edges resolve to the
-             F_X(x0+)      if u > u_u            middle branch)
+    gen(u) = (u - shift) / scale   if edge_lo <= u <= edge_hi
+             F(x0-)                if u < edge_lo
+             F(x0+)                if u > edge_hi
 
-and for a min-type lifetime G = F_Y + F_Z - F_Y F_Z,
-
-    v_l = F_Y(y0-) + F_Z(y0) - F_Y(y0-) F_Z(y0)
-    v_u = F_Y(y0+) + F_Z(y0) - F_Y(y0+) F_Z(y0)
-
-    chi(v) = (v - F_Z(y0)) / (1 - F_Z(y0))   if v_l <= v <= v_u
-             F_Y(y0-)                         if v < v_l
-             F_Y(y0+)                         if v > v_u
+with shift = 0 and scale = F_Z(x0) for phi and psi, and shift = F_Z(x0) and
+scale = 1 - F_Z(x0) for chi.  The middle branch is checked first, so ties at
+its edges take it.  Each jump of G keeps these six numbers as one
+row ``(F(x0-), F(x0+), shift, scale, edge_lo, edge_hi)``.
 
 Any admissible x0 produces the same generator; the smallest is used, and
 :meth:`consistency_gap` measures the (theoretically zero) difference against
@@ -65,8 +64,7 @@ __all__ = [
     "DegenerateModelError",
     "GeneratorDomainError",
     "Generator",
-    "ExtendedMaxGenerator",
-    "ExtendedMinGenerator",
+    "ExtendedGenerator",
     "RMMFromPhi",
     "RMMFromChi",
     "TruncatedLinear",
@@ -205,228 +203,171 @@ class Generator(ABC):
 # canonical extensions from shock models
 # ---------------------------------------------------------------------------
 
+
+def _step_table(lifetime: DistributionFn,
+                rows: dict[float, tuple[float, ...]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The jump rows of an extended generator as arrays, where its lifetime
+    is a step function (``_LimitTable.steps``); None elsewhere.
+
+    On a step function the smallest preimage of every u in (0, 1) is the
+    jump ``bisect_left(rising, u)`` of the limit table.  The table holds the
+    rows of the jumps as columns, plus a copy of the last one for arguments
+    past the last rising limit.
+    """
+    t = lifetime._limits
+    if not t.steps:
+        return None
+    cols = [rows[x] for x in t.xs]
+    return np.array(t.rising), np.array(cols + cols[-1:]).T
+
+
+# the lifetime of each extended kind, and the shock value and preimage name
+# that make its middle branch divide by zero
+_LIFETIMES = {PHI: lifetime_max, PSI: lifetime_max, CHI: lifetime_min}
+_DEGENERATE = {PHI: "0 at x0", PSI: "0 at x0", CHI: "1 at y0"}
+
 # the last-call slot of an extended generator before its first search; nan
 # equals no argument
 _NO_CALL = (math.nan, math.nan)
 
 
-def _remembered_call(gen, u: float) -> float:
-    """gen(u) of an extended generator: 0 and 1 at the ends, else the value
-    at the smallest preimage.  Both extended classes use it as ``__call__``.
-
-    The generator keeps its last searched argument and value in one tuple,
-    replaced whole, so calling it again at the same float skips the search.
-    An error is raised again at every call; nan never matches.
-    """
-    u = float(u)
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    last_u, last_value = gen._last
-    if u == last_u:
-        return last_value
-    value = gen._value_at(u, gen.lifetime.smallest_preimage(u))
-    # one store into the frozen instance's dict, as functools.cached_property
-    # writes; object.__setattr__ costs about three times as much per call
-    gen.__dict__["_last"] = (u, value)
-    return value
-
-
-def _value_with_largest_x0(gen, u: float) -> float:
-    """gen(u) of an extended generator at the largest preimage instead of
-    the smallest; it always searches.  Both extended classes use it."""
-    u = float(u)
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return gen._value_at(u, gen.lifetime.largest_preimage(u))
-
-
-def _consistency_gap(gen, us) -> float:
-    """max |gen(u) - gen.value_with_largest_x0(u)| over the arguments in (0, 1),
-    the x0-choice gap of an extended generator (theoretically zero)."""
-    gap = 0.0
-    for u in us:
-        if 0.0 < u < 1.0:
-            gap = max(gap, abs(gen(u) - gen.value_with_largest_x0(u)))
-    return gap
-
-
-def _breakpoints(gen) -> tuple[float, ...]:
-    """Breakpoints of an extended generator: 0, 1, and at each jump of its
-    lifetime the lifetime's limits and the middle branch's ends."""
-    pts = {0.0, 1.0}
-    lifetime = gen.lifetime
-    for xj in lifetime.jump_points():
-        pts.add(lifetime.left_limit(xj))
-        pts.add(lifetime.right_limit(xj))
-        pts.update(gen.rows[xj][3:])
-    return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
-
-
-def _step_table(lifetime: DistributionFn, rows: dict[float, tuple[float, ...]],
-                shift: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """The jump rows of an extended generator as arrays, where its lifetime
-    is a step function (``_LimitTable.steps``); None elsewhere.
-
-    On a step function the smallest preimage of every u in (0, 1) is the
-    jump ``bisect_left(rising, u)`` of the limit table.  The table holds,
-    per jump, ``(lo, hi, shift, scale, edge_lo, edge_hi)``: the outer
-    branches, the middle branch ``(u - shift) / scale`` (shift 0 and scale
-    F_Z for max kinds, shift F_Z and scale 1 - F_Z for chi; u - 0.0 is u)
-    and the middle branch's ends, plus a copy of the last jump for
-    arguments past the last rising limit.
-    """
-    t = lifetime._limits
-    if not t.steps:
-        return None
-    cols = []
-    for x in t.xs:
-        lo, hi, z, edge_lo, edge_hi = rows[x]
-        cols.append((lo, hi, z, 1.0 - z, edge_lo, edge_hi) if shift
-                    else (lo, hi, 0.0, z, edge_lo, edge_hi))
-    return np.array(t.rising), np.array(cols + cols[-1:]).T
-
-
-def _step_values(gen, u) -> np.ndarray:
-    """``gen.values(u)`` of an extended generator; both classes use it as ``values``.
-
-    On a step-function lifetime every entry reads its jump row, found by one
-    ``searchsorted`` on the rising limits, and takes the branch
-    ``_value_at`` takes, with the same comparisons and the same single
-    division.  An entry that is nan, or would divide by a zero scale on the
-    middle branch, is handed to the scalar call, which raises.  Any other
-    lifetime calls the generator once per entry.
-    """
-    if gen._steps is None:
-        return Generator.values(gen, u)
-    u = np.asarray(u, dtype=float)
-    rising, table = gen._steps
-    lo, hi, shift, scale, edge_lo, edge_hi = table[:, np.searchsorted(rising, u)]
-    inside = (u > 0.0) & (u < 1.0)
-    middle = inside & (edge_lo <= u) & (u <= edge_hi)
-    out = np.where(inside, np.where(u < edge_lo, lo, hi), np.where(u <= 0.0, 0.0, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(u - shift, scale, out=out, where=middle)
-    for i in np.flatnonzero(np.isnan(u) | (middle & (scale == 0.0))).tolist():
-        out.flat[i] = gen(u.flat[i])
-    return out
-
-
 @dataclass(frozen=True)
-class ExtendedMaxGenerator(Generator):
-    """phi (or psi) extended from a max-type lifetime G = F_X * F_Z.
+class ExtendedGenerator(Generator):
+    """phi or psi extended from the max-type lifetime G = F_X * F_Z, or chi
+    from the min-type lifetime G = F_Y + F_Z - F_Y F_Z.
 
-    ``rows`` maps each jump point x_j of the lifetime to its branch
-    constants ``(F_X(x_j-), F_X(x_j+), F_Z(x_j), u_l, u_u)``, built once; a
-    preimage at a jump reads them instead of asking the distributions again.
-    A call at the argument of the previous call returns the value found then
-    (:func:`_remembered_call`); :meth:`value_with_largest_x0` always searches.
-    Where the lifetime is a step function, :meth:`values` reads a stack from
-    the rows held as arrays (:func:`_step_values`).
+    ``rows`` maps each jump point of G to its row ``(lo, hi, shift, scale,
+    edge_lo, edge_hi)`` (see the module docstring), built once; a preimage
+    at a jump reads it instead of asking the distributions again.  Where G
+    is a step function the rows are also held as arrays, from which
+    :meth:`values` reads a stack.
     """
 
     component: DistributionFn
     shock: DistributionFn
-    kind: str = PHI
-    lifetime: Product = field(init=False, repr=False, compare=False)
+    kind: str
+    lifetime: Product | SurvivalComplementProduct = field(init=False, repr=False, compare=False)
     rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
     _last: tuple[float, float] = field(default=_NO_CALL, init=False, repr=False, compare=False)
     _steps: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _MAX_KINDS:
-            raise ValueError(f"kind must be phi or psi, got {self.kind!r}")
-        object.__setattr__(self, "lifetime", lifetime_max(self.component, self.shock))
+        if self.kind not in _LIFETIMES:
+            raise ValueError(f"kind must be phi, psi or chi, got {self.kind!r}")
+        object.__setattr__(self, "lifetime", _LIFETIMES[self.kind](self.component, self.shock))
         object.__setattr__(self, "rows", {x: self._row(x) for x in self.lifetime.jump_points()})
-        object.__setattr__(self, "_steps", _step_table(self.lifetime, self.rows, shift=False))
+        object.__setattr__(self, "_steps", _step_table(self.lifetime, self.rows))
 
     def _row(self, x0: float) -> tuple[float, ...]:
         lo = self.component.left_limit(x0)
         hi = self.component.right_limit(x0)
         z = self.shock.value(x0)
-        return lo, hi, z, lo * z, hi * z
-
-    __call__ = _remembered_call
-    values = _step_values
-    value_with_largest_x0 = _value_with_largest_x0
-    consistency_gap = _consistency_gap
-    breakpoints = _breakpoints
+        if self.kind == CHI:
+            return lo, hi, z, 1.0 - z, _survival_join(lo, z), _survival_join(hi, z)
+        return lo, hi, 0.0, z, lo * z, hi * z
 
     def _value_at(self, u: float, x0: float) -> float:
         row = self.rows.get(x0)
-        lo, hi, z, u_l, u_u = self._row(x0) if row is None else row
-        if u_l <= u <= u_u:
-            if z == 0.0:
+        lo, hi, shift, scale, edge_lo, edge_hi = self._row(x0) if row is None else row
+        if edge_lo <= u <= edge_hi:
+            if scale == 0.0:
                 raise DegenerateModelError(
-                    f"shock distribution is 0 at x0={x0!r} on the interpolating branch"
+                    f"shock distribution is {_DEGENERATE[self.kind]}={x0!r} "
+                    "on the interpolating branch"
                 )
-            return u / z
-        return lo if u < u_l else hi
+            # u - 0.0 is u, so phi and psi divide u itself
+            return (u - shift) / scale
+        return lo if u < edge_lo else hi
+
+    def __call__(self, u: float) -> float:
+        """0 and 1 at the ends, else the value at the smallest preimage.
+
+        The generator keeps its last searched argument and value in one
+        tuple, replaced whole, so calling it again at the same float skips
+        the search.  An error is raised again at every call; nan never
+        matches.
+        """
+        u = float(u)
+        if u <= 0.0:
+            return 0.0
+        if u >= 1.0:
+            return 1.0
+        last_u, last_value = self._last
+        if u == last_u:
+            return last_value
+        value = self._value_at(u, self.lifetime.smallest_preimage(u))
+        # one store into the frozen instance's dict, as functools.cached_property
+        # writes; object.__setattr__ costs about three times as much per call
+        self.__dict__["_last"] = (u, value)
+        return value
+
+    def values(self, u) -> np.ndarray:
+        """The generator at every entry of a float array, in its shape.
+
+        On a step-function lifetime every entry reads its jump row, found by
+        one ``searchsorted`` on the rising limits, and takes the branch
+        ``_value_at`` takes, with the same comparisons and the same single
+        division.  An entry that is nan, or would divide by a zero scale on
+        the middle branch, is handed to the scalar call, which raises.  Any
+        other lifetime calls the generator once per entry.
+        """
+        if self._steps is None:
+            return Generator.values(self, u)
+        u = np.asarray(u, dtype=float)
+        rising, table = self._steps
+        lo, hi, shift, scale, edge_lo, edge_hi = table[:, np.searchsorted(rising, u)]
+        inside = (u > 0.0) & (u < 1.0)
+        middle = inside & (edge_lo <= u) & (u <= edge_hi)
+        out = np.where(inside, np.where(u < edge_lo, lo, hi), np.where(u <= 0.0, 0.0, 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(u - shift, scale, out=out, where=middle)
+        for i in np.flatnonzero(np.isnan(u) | (middle & (scale == 0.0))).tolist():
+            out.flat[i] = self(u.flat[i])
+        return out
+
+    def value_with_largest_x0(self, u: float) -> float:
+        """gen(u) at the largest preimage instead of the smallest; it always searches."""
+        u = float(u)
+        if u <= 0.0:
+            return 0.0
+        if u >= 1.0:
+            return 1.0
+        return self._value_at(u, self.lifetime.largest_preimage(u))
+
+    def consistency_gap(self, us) -> float:
+        """max |gen(u) - gen.value_with_largest_x0(u)| over the arguments in
+        (0, 1), the x0-choice gap (theoretically zero)."""
+        gap = 0.0
+        for u in us:
+            if 0.0 < u < 1.0:
+                gap = max(gap, abs(self(u) - self.value_with_largest_x0(u)))
+        return gap
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """0, 1, and at each jump of the lifetime its limits and the middle
+        branch's ends."""
+        pts = {0.0, 1.0}
+        lifetime = self.lifetime
+        for xj in lifetime.jump_points():
+            pts.add(lifetime.left_limit(xj))
+            pts.add(lifetime.right_limit(xj))
+            pts.update(self.rows[xj][4:])
+        return tuple(sorted(p for p in pts if 0.0 <= p <= 1.0))
 
 
-@dataclass(frozen=True)
-class ExtendedMinGenerator(Generator):
-    """chi extended from a min-type lifetime G = F_Y + F_Z - F_Y F_Z.
-
-    ``rows`` maps each jump point y_j of the lifetime to ``(F_Y(y_j-),
-    F_Y(y_j+), F_Z(y_j), v_l, v_u)``, remembers its last call and reads
-    stacks on a step-function lifetime from its rows, as
-    :class:`ExtendedMaxGenerator` does.
-    """
-
-    component: DistributionFn
-    shock: DistributionFn
-    kind: str = field(default=CHI, init=False)
-    lifetime: SurvivalComplementProduct = field(init=False, repr=False, compare=False)
-    rows: dict[float, tuple[float, ...]] = field(init=False, repr=False, compare=False)
-    _last: tuple[float, float] = field(default=_NO_CALL, init=False, repr=False, compare=False)
-    _steps: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lifetime", lifetime_min(self.component, self.shock))
-        object.__setattr__(self, "rows", {y: self._row(y) for y in self.lifetime.jump_points()})
-        object.__setattr__(self, "_steps", _step_table(self.lifetime, self.rows, shift=True))
-
-    def _row(self, y0: float) -> tuple[float, ...]:
-        lo = self.component.left_limit(y0)
-        hi = self.component.right_limit(y0)
-        z = self.shock.value(y0)
-        return lo, hi, z, _survival_join(lo, z), _survival_join(hi, z)
-
-    __call__ = _remembered_call
-    values = _step_values
-    value_with_largest_x0 = _value_with_largest_x0
-    consistency_gap = _consistency_gap
-    breakpoints = _breakpoints
-
-    def _value_at(self, v: float, y0: float) -> float:
-        row = self.rows.get(y0)
-        lo, hi, z, v_l, v_u = self._row(y0) if row is None else row
-        if v_l <= v <= v_u:
-            if z == 1.0:
-                raise DegenerateModelError(
-                    f"shock distribution is 1 at y0={y0!r} on the interpolating branch"
-                )
-            return (v - z) / (1.0 - z)
-        return lo if v < v_l else hi
-
-
-def extend_phi(component: DistributionFn, shock: DistributionFn) -> ExtendedMaxGenerator:
+def extend_phi(component: DistributionFn, shock: DistributionFn) -> ExtendedGenerator:
     """Canonical phi with phi(G(x)) = F_X(x) wherever G(x) = F_X(x)F_Z(x) > 0."""
-    return ExtendedMaxGenerator(component, shock, kind=PHI)
+    return ExtendedGenerator(component, shock, PHI)
 
 
-def extend_psi(component: DistributionFn, shock: DistributionFn) -> ExtendedMaxGenerator:
+def extend_psi(component: DistributionFn, shock: DistributionFn) -> ExtendedGenerator:
     """Same extension as :func:`extend_phi`, tagged for the second coordinate."""
-    return ExtendedMaxGenerator(component, shock, kind=PSI)
+    return ExtendedGenerator(component, shock, PSI)
 
 
-def extend_chi(component: DistributionFn, shock: DistributionFn) -> ExtendedMinGenerator:
+def extend_chi(component: DistributionFn, shock: DistributionFn) -> ExtendedGenerator:
     """Canonical chi with chi(G(y)) = F_Y(y) wherever G(y) < 1."""
-    return ExtendedMinGenerator(component, shock)
+    return ExtendedGenerator(component, shock, CHI)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +698,7 @@ def validate(gen: Generator, samples: int = 513) -> ValidationReport:
     diagnostics["max_adjacent_gap"] = max(
         (abs(v2 - v1) for v1, v2 in zip(vals, vals[1:])), default=0.0
     )
-    if isinstance(gen, (ExtendedMaxGenerator, ExtendedMinGenerator)):
+    if isinstance(gen, ExtendedGenerator):
         probe = [u for u in grid if 0.0 < u < 1.0][:: max(1, len(grid) // 128)]
         diagnostics["x0_choice_gap"] = gen.consistency_gap(probe)
     return ValidationReport(gen.kind, len(grid), issues, diagnostics)
@@ -789,10 +730,8 @@ def generator_from_spec(spec: dict) -> Generator:
         if comp_spec is None:
             raise ValueError("from_shocks needs an 'x' or 'y' entry")
         comp = dist_from_spec(comp_spec)
-        if kind in _MAX_KINDS:
-            return ExtendedMaxGenerator(comp, z, kind=kind)
-        if kind == CHI:
-            return extend_chi(comp, z)
+        if kind in _LIFETIMES:
+            return ExtendedGenerator(comp, z, kind)
         if kind == RMM_F:
             return to_rmm(extend_phi(comp, z))
         return to_rmm(extend_chi(comp, z))

@@ -37,7 +37,7 @@ from .copulas import (
     _by_slabs,
     _check_family,
     _grid_arrays,
-    _pair_layout,
+    _rmm_pair_loop,
     _rmm_stack,
     _split,
     _tables,
@@ -442,12 +442,9 @@ def _envelope_slab(
     """(inf, sup) on a grid slab, each coordinate's arrays at its own axis shape."""
     n = len(us)
     shape = np.broadcast_shapes(*(u.shape for u in us))
-    lead = (-1,) + (1,) * len(shape)
 
-    # inf: the tuples upper in exactly one (max-type, min-type) pair
-    own = _pair_layout(n, p)[1]
-    fs = [np.where(own[k].reshape(lead), hi[k], lo[k]) for k in range(n)]
-    inf = rmm_values(us, fs, p).min(axis=0)
+    # inf: each pair's term at its own vertex, upper at i and j, lower elsewhere
+    inf = _rmm_pair_loop(us, lo, p, hi)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rlo = [f / u for f, u in zip(lo, us)]
@@ -469,9 +466,9 @@ def _envelope_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(inf, sup) on a slab of a point stack, the ``(n, E)`` rows of its table.
 
-    One ``np.where`` on the own-pair mask and the sup tuple's choices gives
-    the p(n - p) inf tuples and the sup tuple, and one stacked pair
-    evaluation (:func:`copulas._rmm_stack`) the copula at all of them.
+    One stacked pair evaluation (:func:`copulas._rmm_stack`) gives both: on
+    the tuples (lo | sup tuple) with first-factor values (hi | sup tuple),
+    its first column is the inf and its second the copula at the sup tuple.
     """
     n = len(u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -482,14 +479,12 @@ def _envelope_stack(
     columns = np.arange(len(best))
     win_t, win_s = np.divmod(best, 2 * (n - p))
     rhi = ratios[1]
-    own = _pair_layout(n, p)[1]
-    upper_at = np.empty((n, own.shape[1] + 1) + u.shape[1:], dtype=bool)
-    upper_at[:, :-1] = own[:, :, None]
-    upper_at[:p, -1] = rhi[:p] <= caps[win_t, columns]
-    upper_at[p:, -1] = rhi[p:] <= caps[2 * p + win_s, columns]
-    upper_at[:, -1] |= obj[best, columns] == -np.inf
-    values = _rmm_stack(u, np.where(upper_at, hi[:, None], lo[:, None]), p)
-    return values[:-1].min(axis=0), values[-1]
+    upper = np.empty(u.shape, dtype=bool)
+    upper[:p] = rhi[:p] <= caps[win_t, columns]
+    upper[p:] = rhi[p:] <= caps[2 * p + win_s, columns]
+    upper |= obj[best, columns] == -np.inf
+    sup_tuple = np.where(upper, hi, lo)
+    return _rmm_stack(u, np.stack((lo, sup_tuple), axis=1), p, np.stack((hi, sup_tuple), axis=1))
 
 
 def rmm_envelope_values(
@@ -504,9 +499,15 @@ def rmm_envelope_values(
     evaluated once per entry of its coordinate's array; an entry outside
     [0, 1] or nan raises ValueError.
 
-    inf is the minimum over the tuples that are upper in exactly one
-    (max-type, min-type) pair and lower elsewhere, which reaches the
-    minimum over all vertices.  sup comes from the star form: with
+    inf is ``max(0, min over pairs (i < p <= j) of (u_i*u_j - hi_i*hi_j) *
+    prod_{l != i,j} (u_l + lo_l))``: each pair's term at its own vertex,
+    upper at i and j and lower elsewhere.  It is the float of the minimum
+    over all vertices.  Where that min is <= 0 both clamp to +0.0.
+    Otherwise every own-vertex term is positive, and at any other vertex the
+    pair's first factor is no smaller (lower values at i or j) and each rest
+    factor is no smaller (upper values elsewhere); all rmm generator values
+    are >= 0 and rounding is monotone, so no pair's float term at any vertex
+    lies below its term at its own vertex.  sup comes from the star form: with
     ``r_l = f_l/u_l`` the copula is ``prod_l u_l * A_T * A_S * max(0, 1 -
     R_T*R_S)``, where ``R_T``/``R_S`` are the largest ratios of the
     max-type/min-type block and ``A_T`` is the product of ``1 + r_i`` over
@@ -523,9 +524,9 @@ def rmm_envelope_values(
     The form follows the input's structure, as in :func:`rmm_values`.  On
     one point or a point stack (every array of one shape) the generator
     values form one table, the caps of each block one factor array, and the
-    inf tuples and the sup tuple one stacked pair evaluation
+    inf and the sup tuple one stacked pair evaluation
     (:func:`_envelope_stack`).  On a grid every coordinate keeps its axis
-    shape and the tuples are evaluated pair by pair (:func:`_envelope_slab`).
+    shape and the pairs are evaluated one by one (:func:`_envelope_slab`).
     Both give the same floats.  The points are processed in slabs, as by
     :meth:`GeneratorVector.values`, sized so the stacked temporaries stay
     small.
@@ -546,10 +547,9 @@ def _envelope_of_tables(tables: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
     inf_out, sup_out = np.empty(shape), np.empty(shape)
     if isinstance(groups[0], np.ndarray):
         n = len(groups[0])
-        pairs = p * (n - p)
-        # the stacked pair evaluation holds (pairs + 1) * pairs * n factors per point
+        # the stacked pair evaluation holds 2 * pairs * n factors per point
         _by_slabs(lambda *part: _envelope_stack(*part, p), groups, (inf_out, sup_out),
-                  (pairs + 1) * pairs * n)
+                  2 * p * (n - p) * n)
     else:
         _by_slabs(lambda *part: _envelope_slab(*part, p), groups, (inf_out, sup_out))
     return inf_out, sup_out

@@ -586,13 +586,37 @@ def test_a_stack_entry_on_a_degenerate_middle_branch_raises_as_a_call(make, z, s
     u = gen.lifetime.right_limit(x0)
     assert 0.0 < u < 1.0 and gen.lifetime.smallest_preimage(u) == x0
     lo, hi = gen.rows[x0][:2]
-    gen.rows[x0] = (lo, hi, z, 0.5 * u, 0.5 * (1.0 + u))
-    object.__setattr__(gen, "_steps", _step_table(gen.lifetime, gen.rows, gen.kind == "chi"))
+    shift, scale = (z, 1.0 - z) if gen.kind == "chi" else (0.0, z)
+    gen.rows[x0] = (lo, hi, shift, scale, 0.5 * u, 0.5 * (1.0 + u))
+    object.__setattr__(gen, "_steps", _step_table(gen.lifetime, gen.rows))
     with pytest.raises(DegenerateModelError) as scalar:
         gen(u)
     with pytest.raises(DegenerateModelError) as stacked:
         gen.values(np.array([0.0, 0.9, u, 1.0]))
     assert str(stacked.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("make", [extend_phi, extend_psi, extend_chi])
+@pytest.mark.parametrize("component, shock", [
+    (Discrete([(1.0, 0.25), (2.0, 0.5), (3.0, 0.25)]), Discrete([(1.5, 0.5), (2.0, 0.25), (4.0, 0.25)])),
+    (Exponential(1.0), DiracStep(1.0)),
+])
+def test_every_jump_row_holds_both_limits_the_middle_branch_and_its_edges(make, component, shock):
+    gen = make(component, shock)
+    assert gen.rows
+    for x, row in gen.rows.items():
+        lo, hi, z = component.left_limit(x), component.right_limit(x), shock.value(x)
+        if gen.kind == "chi":
+            want = (lo, hi, z, 1.0 - z,
+                    generator_reference.survival_join(lo, z), generator_reference.survival_join(hi, z))
+        else:
+            want = (lo, hi, 0.0, z, lo * z, hi * z)
+        assert row == want, x
+    steps = isinstance(component, Discrete)
+    assert (gen._steps is not None) == steps
+    if steps:
+        cols = [gen.rows[x] for x in sorted(gen.rows)]
+        assert gen._steps[1].tolist() == np.array(cols + cols[-1:]).T.tolist()
 
 
 def test_a_step_stack_makes_no_search_while_a_continuous_one_searches_per_entry(monkeypatch):

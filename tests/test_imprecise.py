@@ -600,6 +600,50 @@ def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
             assert np.array_equal(bits([inf[idx], sup[idx]]), bits(w)), (p, idx)
 
 
+# vertex coordinates and generator values, weighted towards 0, 1 and ties
+_vertex_levels = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _pair_term(u, f, own, i, j):
+    """Pair (i, j)'s rmm term in the kernels' order: the first factor from
+    ``own``, times the factors u_l + f_l over ascending l, an exact 1.0 at
+    l = i and l = j."""
+    rest = 1.0
+    for l in range(len(u)):
+        rest *= 1.0 if l in (i, j) else u[l] + f[l]
+    return (u[i] * u[j] - own[i] * own[j]) * rest
+
+
+@given(data=st.data(), n=st.integers(2, 8))
+@settings(max_examples=150, deadline=None)
+def test_no_vertex_puts_a_pair_term_below_its_own_vertex_term(data, n):
+    # the envelope inf reads each pair's term only at its own vertex (upper
+    # at i and j, lower elsewhere); that is the minimum over all vertices
+    # because, where the own term is positive, every other vertex gives the
+    # pair a float term at least as large
+    u = data.draw(st.lists(_vertex_levels, min_size=n, max_size=n))
+    lo, hi = [], []
+    for _ in range(n):
+        a = data.draw(_vertex_levels)
+        b = data.draw(st.one_of(st.just(a), _vertex_levels))
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    upper = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    tuples = [lo, hi, [h if up else l for l, h, up in zip(lo, hi, upper)]]
+    for p in range(1, n):
+        own_terms = []
+        for i in range(p):
+            for j in range(p, n):
+                own = _pair_term(u, lo, hi, i, j)
+                own_terms.append(own)
+                if own > 0.0:
+                    for f in tuples:
+                        assert own <= _pair_term(u, f, f, i, j), (p, i, j, f)
+        got = copulas._rmm_stack(np.array(u)[:, None], np.array(lo)[:, None], p, np.array(hi)[:, None])
+        least = min(own_terms)
+        assert np.array_equal(bits(got), bits([least if least > 0.0 else 0.0])), p
+
+
 @pytest.mark.parametrize("n", [7, 12])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["continuous", "discrete"]))
