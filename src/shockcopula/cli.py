@@ -8,9 +8,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -29,10 +31,58 @@ _MAX_GRID_ROWS = 2_000_000
 # rows per write in write_surface_csv, rounded to whole runs of the last axis;
 # larger blocks raise peak memory
 _WRITE_BLOCK_ROWS = 2048
+# bytes per read when copying a child's rows into the stream; larger reads
+# raise peak memory
+_PIPE_READ_BYTES = 1 << 16
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _surface_blocks(labels: list[list[str]], flat: np.ndarray, step: int, start: int, stop: int):
+    """CSV text of rows [start, stop), one string per ``step`` rows; ``start``
+    and ``stop`` are block boundaries, or ``stop`` is the last row."""
+    run = len(labels[-1])
+    # labels are float reprs, which never contain '%', so each template's only
+    # conversions are its run's %r fields; prefixes are made lazily, one a run
+    prefixes = map("".join, itertools.islice(itertools.product(*labels[:-1]), start // run, None))
+    for s in range(start, stop, step):
+        block = flat[s:s + step].tolist()
+        # the range first: zip stops on it without drawing one prefix too many
+        yield "".join([
+            (prefix + ("%r\n" + prefix).join(labels[-1]) + "%r\n") % tuple(block[r:r + run])
+            for r, prefix in zip(range(0, len(block), run), prefixes)])
+
+
+def _fork_part(rows_text, start: int, stop: int):
+    """(pid, pipe) of a child that writes ``rows_text(start, stop)`` into the pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            # the whole part before the first write: a full pipe would stall
+            # the child until the parent has streamed its own part
+            texts = list(rows_text(start, stop))
+            with open(w, "w", encoding="ascii", newline="") as pipe:
+                pipe.writelines(texts)
+            status = 0
+        except BaseException:
+            import traceback   # only on failure: not loaded on start-up
+            os.write(2, traceback.format_exc().encode())
+            raise
+        finally:
+            # no flush of inherited buffers, no atexit handlers
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb", buffering=0)
 
 
 def write_surface_csv(stream, axes: list[np.ndarray], values: np.ndarray) -> int:
@@ -40,7 +90,20 @@ def write_surface_csv(stream, axes: list[np.ndarray], values: np.ndarray) -> int
 
     Each axis value is formatted once.  Each run of the last axis is one
     ``%r`` template, its n - 1 leading labels fixed, filled by one ``%``
-    call; the runs are written in blocks of about ``_WRITE_BLOCK_ROWS`` rows.
+    call; the runs are formatted in blocks of about ``_WRITE_BLOCK_ROWS`` rows.
+
+    The blocks are split into contiguous parts, one per CPU this process may
+    run on and never more parts than blocks, of about equal cost, a row
+    whose value is zero counting half.  A forked child formats each
+    part after the first, all of it, and writes it into a pipe; meanwhile
+    this process streams the first part block by block, then copies each
+    child's pipe into ``stream`` in order, ``_PIPE_READ_BYTES`` at a time.
+    So this process never holds more than a block or a read, while each
+    child holds its own part.  Where ``os.fork`` or ``os.sched_getaffinity``
+    is missing (Windows, macOS), or with one CPU or one block, there is one
+    part and no child.  No child outlives the call: a child that exits
+    nonzero raises ``RuntimeError``, and on any error the children left
+    are killed and reaped.
     """
     rows = math.prod(len(axis) for axis in axes)
     if values.size != rows:
@@ -52,18 +115,42 @@ def write_surface_csv(stream, axes: list[np.ndarray], values: np.ndarray) -> int
     # with no axes the one row holds the value alone
     labels = [[_fmt(x) + "," for x in axis] for axis in axes] or [[""]]
     run = len(labels[-1])
-    # labels are float reprs, which never contain '%', so each template's only
-    # conversions are its run's %r fields; prefixes are made lazily, one a run
-    prefixes = map("".join, itertools.product(*labels[:-1]))
-    flat = values.ravel()
     step = max(1, _WRITE_BLOCK_ROWS // run) * run
-    for s in range(0, rows, step):
-        block = flat[s:s + step].tolist()
-        # the range first: zip stops on it without drawing one prefix too many
-        stream.write("".join([
-            (prefix + ("%r\n" + prefix).join(labels[-1]) + "%r\n")
-            % tuple(block[r:r + run])
-            for r, prefix in zip(range(0, len(block), run), prefixes)]))
+    flat = values.ravel()
+    rows_text = functools.partial(_surface_blocks, labels, flat, step)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    parts = len(os.sched_getaffinity(0)) if forks else 1
+    # a block costs its rows plus its nonzero values: a zero formats in about
+    # half the time of another value, and copula surfaces are zero on a corner
+    cost = np.cumsum([min(step, rows - s) + np.count_nonzero(flat[s:s + step])
+                      for s in range(0, rows, step)])
+    # part k ends after the last block whose running cost is at most k / parts
+    # of the total, which is before the last block; empty parts are dropped
+    cuts = np.searchsorted(cost, cost[-1] * np.arange(1, parts) / parts, side="right") * step
+    edges = sorted({0, rows, *cuts.tolist()})
+    children = []
+    try:
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            children.append(_fork_part(rows_text, start, stop))
+        for text in rows_text(0, edges[1]):
+            stream.write(text)
+        while children:
+            pid, pipe = children[0]
+            for chunk in iter(lambda: pipe.read(_PIPE_READ_BYTES), b""):
+                stream.write(chunk.decode("ascii"))
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            pipe.close()
+            if status:
+                raise RuntimeError(f"the child formatting surface rows exited with "
+                                   f"status {os.waitstatus_to_exitcode(status)}")
+    finally:
+        if children:
+            import signal   # only on failure: not loaded on start-up
+            for pid, pipe in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
     return rows
 
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -157,22 +159,37 @@ WRITER_VALUES = (1e-05, 0.1 + 0.2, 5e-324, -0.0, 0.0, 1.0, 1.0 / 3.0, 2.5e-16,
                  0.9999999999999999, 123456.789, 1e22, 7.0)
 
 
+# CPU counts the writer is run at: one part, and two or three forked parts
+# wherever the surface has that many blocks
+PART_COUNTS = (1, 2, 3)
+
+
+def cpus(count: int):
+    """A stand-in for ``os.sched_getaffinity`` that reports ``count`` CPUs."""
+    return lambda pid: set(range(count))
+
+
 @pytest.mark.parametrize("block", [1, 3, 7, 2048])
 def test_block_writer_matches_the_csv_writer_reference(monkeypatch, block):
     monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", block)
     rng = np.random.default_rng(11)
     cases = []
-    for shape in ((4, 3), (2, 5, 3), (len(WRITER_VALUES), 2)):
+    # (7, 3) and (2, 5, 3) split into parts of unequal block counts, with a
+    # short last block at block 7; the 1-D axes are one run longer than a block
+    for shape in ((4, 3), (2, 5, 3), (len(WRITER_VALUES), 2), (7, 3), (len(WRITER_VALUES),)):
         axes = [np.array(WRITER_VALUES[:size]) for size in shape]
         values = rng.choice(np.array(WRITER_VALUES), size=shape)
         cases.append((axes, values))
     axis = np.linspace(0.0, 1.0, 13)
     cases.append(([axis] * 3, rng.random((13, 13, 13))))
-    for axes, values in cases:
-        got, want = io.StringIO(), io.StringIO()
-        rows = write_surface_csv(got, axes, values)
-        assert rows == reference_surface_csv(want, axes, values) == values.size
-        assert got.getvalue() == want.getvalue()
+    cases.append(([np.linspace(0.0, 1.0, 2101)], rng.random(2101)))
+    for count in PART_COUNTS:
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(count))
+        for axes, values in cases:
+            got, want = io.StringIO(), io.StringIO()
+            rows = write_surface_csv(got, axes, values)
+            assert rows == reference_surface_csv(want, axes, values) == values.size
+            assert got.getvalue() == want.getvalue()
 
 
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e22, float("nan"), float("inf"), float("-inf"))
@@ -193,11 +210,15 @@ def surface_grids(draw):
 @settings(max_examples=150, deadline=None)
 def test_template_writer_matches_the_reference_on_edge_floats(grid, block):
     axes, values = grid
-    got, want = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "_WRITE_BLOCK_ROWS", block):
-        rows = write_surface_csv(got, axes, values)
-    assert rows == reference_surface_csv(want, axes, values) == values.size
-    assert got.getvalue() == want.getvalue()
+    want = io.StringIO()
+    size = reference_surface_csv(want, axes, values)
+    for count in PART_COUNTS:
+        got = io.StringIO()
+        with mock.patch.object(cli, "_WRITE_BLOCK_ROWS", block), \
+                mock.patch.object(os, "sched_getaffinity", cpus(count)):
+            rows = write_surface_csv(got, axes, values)
+        assert rows == size == values.size
+        assert got.getvalue() == want.getvalue()
 
 
 @pytest.mark.parametrize("size", [11, 13])
@@ -205,6 +226,144 @@ def test_writer_rejects_values_that_do_not_fill_the_grid(size):
     axes = [np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)]
     with pytest.raises(ValueError, match=f"{size} entries.*12 grid points"):
         write_surface_csv(io.StringIO(), axes, np.zeros(size))
+
+
+def no_child_is_left() -> bool:
+    """True when this process has no child, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+CUBE = [np.linspace(0.0, 1.0, 13)] * 3   # 169 runs of 13 rows
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """The pids of the children that ``os.fork`` starts in this process."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        pids.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("count", PART_COUNTS)
+def test_writer_forks_one_child_per_cpu_after_the_first(monkeypatch, forked, count):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 7)     # one run a block: 169 blocks
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(count))
+    values = np.random.default_rng(3).random((13, 13, 13))
+    got, want = io.StringIO(), io.StringIO()
+    write_surface_csv(got, CUBE, values)
+    reference_surface_csv(want, CUBE, values)
+    assert got.getvalue() == want.getvalue()
+    assert len(forked) == count - 1
+    assert no_child_is_left()
+    # one block: no child at any CPU count
+    write_surface_csv(io.StringIO(), [np.linspace(0.0, 1.0, 5)], np.zeros(5))
+    assert len(forked) == count - 1
+
+
+def test_writer_drops_parts_that_come_out_empty(monkeypatch, forked):
+    # three one-run blocks costing 8, 4 and 4 (zeros count half): the cost
+    # thirds end after 0 and 1 blocks, so two parts and one child
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+    axes = [np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)]
+    values = np.array([[0.5] * 4, [0.0] * 4, [-0.0] * 4])
+    got, want = io.StringIO(), io.StringIO()
+    assert write_surface_csv(got, axes, values) == reference_surface_csv(want, axes, values)
+    assert got.getvalue() == want.getvalue()
+    assert len(forked) == 1
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_writer_without_fork_or_affinity_writes_one_part(monkeypatch, missing):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+    monkeypatch.delattr(os, missing)
+    values = np.random.default_rng(6).random((13, 13, 13))
+    got, want = io.StringIO(), io.StringIO()
+    assert write_surface_csv(got, CUBE, values) == reference_surface_csv(want, CUBE, values)
+    assert got.getvalue() == want.getvalue()
+    assert no_child_is_left()
+
+
+def test_a_failing_child_makes_the_surface_command_fail(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(3))
+    parent = os.getpid()
+    blocks = cli._surface_blocks
+
+    def failing_in_children(*args):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the part")
+        return blocks(*args)
+
+    monkeypatch.setattr(cli, "_surface_blocks", failing_in_children)
+    values = np.random.default_rng(4).random((13, 13, 13))
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        write_surface_csv(io.StringIO(), CUBE, values)
+    assert no_child_is_left()
+    # through the command: an error exit, not a short file reported as written
+    out = tmp_path / "surface.csv"
+    result = runner.invoke(main, ["surface", "--config", write_config(tmp_path, RMM_BOXED_3),
+                                  "--grid", "13", "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, RuntimeError)
+    assert "wrote" not in result.output
+    assert no_child_is_left()
+
+
+class FailingStream(io.StringIO):
+    """A text stream whose writes from number ``fail_at`` on raise; the header
+    is write 0."""
+
+    def __init__(self, fail_at: int):
+        super().__init__()
+        self.writes = 0
+        self.fail_at = fail_at
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > self.fail_at:
+            raise OSError("disk full")
+        return super().write(text)
+
+
+# 169 blocks in two parts: writes 1-84 are this process's blocks, write 85
+# is the first read of the child's pipe
+@pytest.mark.parametrize("fail_at", [1, 84, 85])
+def test_a_failing_stream_reraises_and_leaves_no_child(monkeypatch, fail_at):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+    stream = FailingStream(fail_at)
+    with pytest.raises(OSError, match="disk full"):
+        write_surface_csv(stream, CUBE, np.random.default_rng(5).random((13, 13, 13)))
+    assert stream.writes == fail_at + 1
+    assert no_child_is_left()
+
+
+def test_writer_memory_stays_flat_with_two_parts(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(2))
+    axis = np.linspace(0.0, 1.0, 101)
+    values = np.multiply.outer(np.multiply.outer(axis, axis), axis)
+    with open(tmp_path / "surface.csv", "w", newline="") as fh:
+        tracemalloc.start()
+        try:
+            write_surface_csv(fh, [axis] * 3, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the file alone is about 33 MB; holding a child's part would take ~16 MB
+    assert peak < 2_000_000
+    assert (tmp_path / "surface.csv").stat().st_size > 30_000_000
 
 
 @pytest.mark.parametrize("bound", ["lower", "envelope_sup"])
