@@ -167,7 +167,7 @@ def maxmin_values(us: Sequence[np.ndarray], fs: Sequence[np.ndarray], p: int) ->
         prefactor = fs[i] if prefactor is None else prefactor * fs[i]
     dags = [np.where(us[j] >= 1.0, 1.0, (us[j] - fs[j]) / np.where(fs[j] < 1.0, 1.0 - fs[j], 1.0))
             for j in range(p, n)]
-    lo, hi, weight = _subsets(floor, 1.0, dags, fs[p:])
+    lo, hi, weight = _subsets(floor, 1.0, dags, fs[p:], 0.0)
     return prefactor * np.add.accumulate(weight * np.maximum(lo - hi, 0.0), axis=0)[-1]
 
 
@@ -184,19 +184,20 @@ def _check_split(us: Sequence, fs: Sequence, p: int | None = None) -> int:
 
 
 def _subsets(floor: np.ndarray, weight: float | np.ndarray, keys: Sequence[np.ndarray],
-             factors) -> np.ndarray:
+             factors, start: float) -> np.ndarray:
     """The subsets K of a block of m coordinates as a ``(3, 2^m, ...)`` array.
 
     Rows ``lo``, ``hi`` and ``weight`` of subset K are the min of ``floor``
-    and the keys in K, the max of 0.0 and the keys outside K, and ``weight``
-    times the factors outside K.  The subsets lie on the second axis indexed
-    by the bit mask of K, built by doubling, so each weight multiplies its
-    factors in ascending coordinates.  ``factors`` may be an iterator.
+    and the keys in K, the max of ``start`` and the keys outside K, and
+    ``weight`` times the factors outside K.  The subsets lie on the second
+    axis indexed by the bit mask of K, built by doubling, so each weight
+    multiplies its factors in ascending coordinates.  ``factors`` may be an
+    iterator.
     """
     shape = np.broadcast_shapes(np.shape(floor), *(np.shape(key) for key in keys))
     block = np.empty((3, 1 << len(keys)) + shape)
     lo, hi, weights = block
-    lo[0], hi[0], weights[0] = floor, 0.0, weight
+    lo[0], hi[0], weights[0] = floor, start, weight
     for b, (key, factor) in enumerate(zip(keys, factors)):
         # the subsets with coordinate b in K go after those without it
         k = 1 << b
@@ -438,6 +439,11 @@ def _check_family(family: str, n: int, p: int | None, what: str) -> None:
         raise ValueError(f"{family} needs an int p with 1 <= p < n, got {p!r}")
 
 
+# the generator kinds each family takes in its max-type and min-type blocks
+_BLOCK_KINDS = {"marshall": ((PHI, PSI), ()), "maxmin": ((PHI, PSI), (CHI,)),
+                "rmm": ((RMM_F,), (RMM_G,))}
+
+
 def _split(self) -> int:
     """Size of the max-type block (n for marshall); the ``split`` property
     of generator vectors, shock models and bound families."""
@@ -459,22 +465,13 @@ class GeneratorVector:
 
     def __post_init__(self) -> None:
         _check_family(self.family, len(self.generators), self.p, "generators")
-        kinds = [g.kind for g in self.generators]
-        if self.family == "marshall":
-            bad = [k for k in kinds if k not in (PHI, PSI)]
-            if bad:
-                raise ValueError(f"marshall expects phi/psi generators, got {bad}")
-            return
-        if self.family == "maxmin":
-            want_max, want_min = (PHI, PSI), (CHI,)
-        else:
-            want_max, want_min = (RMM_F,), (RMM_G,)
-        for k, kind in enumerate(kinds):
-            want = want_max if k < self.p else want_min
-            if kind not in want:
+        want_max, want_min = _BLOCK_KINDS[self.family]
+        for k, gen in enumerate(self.generators):
+            want = want_max if k < self.split else want_min
+            if gen.kind not in want:
                 raise ValueError(
                     f"coordinate {k + 1} of a {self.family} vector must have kind in "
-                    f"{want}, got {kind!r}"
+                    f"{want}, got {gen.kind!r}"
                 )
 
     @property
@@ -584,9 +581,9 @@ def joint_maxmin_values(
     :func:`maxmin_values`, so each weight is prod_T F_i times the F_j of
     S\\K in ascending j; a term is kept only where its F_Z difference is
     positive, and the terms are summed from 0.0 in mask order.  Both F_Z
-    arguments are min_T x or some x_j of the min block (the max also 0 where
-    every x_j of S\\K is negative), so the shock, asked once per distinct
-    argument of a slab, sees at most n - p + 1 of them per point for x >= 0.
+    arguments are min_T x or some x_j of the min block, so the shock, asked
+    once per distinct argument of a slab, sees at most n - p + 1 of them per
+    point.
     The temporaries hold 2^(n-p) entries per point, so the points go slab by
     slab, as in :meth:`GeneratorVector.values`: a run of columns of a point
     stack, or a run along one axis of a grid.
@@ -609,9 +606,10 @@ def joint_maxmin_values(
 def _joint_maxmin_slab(components: Sequence[DistributionFn], shock: DistributionFn,
                        xs: Sequence[np.ndarray], p: int) -> np.ndarray:
     """:func:`joint_maxmin_values` on one slab of its coordinate arrays."""
+    # hi starts at -inf: the max over S\K is over times, which may be negative
     lo, hi, weight = _subsets(functools.reduce(np.minimum, xs[:p]),
                               _product_of_values(components[:p], xs[:p]), xs[p:],
-                              (c.values(x) for c, x in zip(components[p:], xs[p:])))
+                              (c.values(x) for c, x in zip(components[p:], xs[p:])), -math.inf)
     shape = lo.shape[1:]
     # the last mask, K = S, leaves S\K empty: its F_Z term is 0, not asked
     fz_hi, fz_lo = _shock_at(shock, lo, hi[:-1])

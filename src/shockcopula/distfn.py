@@ -70,7 +70,6 @@ __all__ = [
     "to_spec",
 ]
 
-NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
@@ -351,11 +350,7 @@ class Exponential(DistributionFn):
             return 0.0
         return -math.expm1(-self.rate * x)
 
-    def left_limit(self, x: float) -> float:
-        return self.value(x)
-
-    def right_limit(self, x: float) -> float:
-        return self.value(x)
+    left_limit = right_limit = value
 
     def jump_points(self) -> tuple[float, ...]:
         return ()
@@ -364,8 +359,7 @@ class Exponential(DistributionFn):
         _require_interior(u)
         return -math.log1p(-u) / self.rate
 
-    def largest_preimage(self, u: float) -> float:
-        return self.smallest_preimage(u)
+    largest_preimage = smallest_preimage
 
 
 @dataclass(frozen=True)
@@ -381,11 +375,10 @@ class DiracStep(DistributionFn):
     def value(self, x: float) -> float:
         return 1.0 if x >= self.location else 0.0
 
+    right_limit = value
+
     def left_limit(self, x: float) -> float:
         return 1.0 if x > self.location else 0.0
-
-    def right_limit(self, x: float) -> float:
-        return 1.0 if x >= self.location else 0.0
 
     def jump_points(self) -> tuple[float, ...]:
         return (self.location,)
@@ -397,9 +390,7 @@ class DiracStep(DistributionFn):
         _require_interior(u)
         return self.location
 
-    def largest_preimage(self, u: float) -> float:
-        _require_interior(u)
-        return self.location
+    largest_preimage = smallest_preimage
 
 
 @dataclass(frozen=True)
@@ -420,11 +411,7 @@ class Uniform(DistributionFn):
             return 1.0
         return (x - self.a) / (self.b - self.a)
 
-    def left_limit(self, x: float) -> float:
-        return self.value(x)
-
-    def right_limit(self, x: float) -> float:
-        return self.value(x)
+    left_limit = right_limit = value
 
     def jump_points(self) -> tuple[float, ...]:
         return ()
@@ -433,8 +420,7 @@ class Uniform(DistributionFn):
         _require_interior(u)
         return self.a + u * (self.b - self.a)
 
-    def largest_preimage(self, u: float) -> float:
-        return self.smallest_preimage(u)
+    largest_preimage = smallest_preimage
 
 
 @dataclass(frozen=True)
@@ -482,6 +468,8 @@ class Discrete(DistributionFn):
         i = bisect_right(self._xs, x)
         return self._cum[i - 1] if i else 0.0
 
+    right_limit = value
+
     def values(self, x) -> np.ndarray:
         xs, cum = self._table
         return cum[np.searchsorted(xs, np.asarray(x, dtype=float), side="right")]
@@ -489,9 +477,6 @@ class Discrete(DistributionFn):
     def left_limit(self, x: float) -> float:
         i = bisect_left(self._xs, x)
         return self._cum[i - 1] if i else 0.0
-
-    def right_limit(self, x: float) -> float:
-        return self.value(x)
 
     def jump_points(self) -> tuple[float, ...]:
         return self._xs
@@ -556,11 +541,21 @@ class PiecewiseLinearWithJumps(DistributionFn):
             return r1
         return r1 + (x - x1) * (l2 - r1) / (x2 - x1)
 
-    def value(self, x: float) -> float:
-        if x == NEG_INF:
+    def _read(self, x: float, column: int) -> float:
+        """Column 1 (left), 2 (point) or 3 (right) of the breakpoint at x, or
+        F off the breakpoints: 0 below the first (-inf and nan included), 1
+        above the last (+inf included), the segment's line between."""
+        i = bisect_left(self._xs, x)
+        if i < len(self._xs) and self._xs[i] == x:
+            return self.breakpoints[i][column]
+        if i == 0:
             return 0.0
-        if x == POS_INF:
+        if i == len(self._xs):
             return 1.0
+        return self._segment_value(i - 1, x)
+
+    def value(self, x: float) -> float:
+        # _read(x, 2), inlined: value sits on the preimage searches' hot path
         i = bisect_left(self._xs, x)
         if i < len(self._xs) and self._xs[i] == x:
             return self.breakpoints[i][2]
@@ -571,24 +566,10 @@ class PiecewiseLinearWithJumps(DistributionFn):
         return self._segment_value(i - 1, x)
 
     def left_limit(self, x: float) -> float:
-        i = bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self.breakpoints[i][1]
-        if i == 0:
-            return 0.0
-        if i == len(self._xs):
-            return 1.0
-        return self._segment_value(i - 1, x)
+        return self._read(x, 1)
 
     def right_limit(self, x: float) -> float:
-        i = bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self.breakpoints[i][3]
-        if i == 0:
-            return 0.0
-        if i == len(self._xs):
-            return 1.0
-        return self._segment_value(i - 1, x)
+        return self._read(x, 3)
 
     def jump_points(self) -> tuple[float, ...]:
         return tuple(x for x, l, _, r in self.breakpoints if l < r)
@@ -607,19 +588,35 @@ class PiecewiseLinearWithJumps(DistributionFn):
 
 
 @dataclass(frozen=True)
-class Product(DistributionFn):
+class _Composite(DistributionFn):
+    """A pointwise combination of the distributions in the fields ``_parts`` names.
+
+    Construction sorts the parts' jump set once and builds the limit table
+    from it.  The jump set is the union of the parts' jump points; a
+    composite with another rule overrides :meth:`_jump_set`.
+    """
+
+    _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _limits: _LimitTable = field(init=False, repr=False, compare=False)
+    _parts = ("first", "second")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_jumps", tuple(sorted(self._jump_set())))
+        object.__setattr__(self, "_limits", _LimitTable.of(self))
+
+    def _jump_set(self) -> set[float]:
+        return {x for name in self._parts for x in getattr(self, name).jump_points()}
+
+    def jump_points(self) -> tuple[float, ...]:
+        return self._jumps
+
+
+@dataclass(frozen=True)
+class Product(_Composite):
     """F(x) = first(x) * second(x); the cdf of max of independent lifetimes."""
 
     first: DistributionFn
     second: DistributionFn
-    _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _limits: _LimitTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_jumps", _merge_jumps(self.first.jump_points(), self.second.jump_points())
-        )
-        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def value(self, x: float) -> float:
         return self.first.value(x) * self.second.value(x)
@@ -633,24 +630,13 @@ class Product(DistributionFn):
     def right_limit(self, x: float) -> float:
         return self.first.right_limit(x) * self.second.right_limit(x)
 
-    def jump_points(self) -> tuple[float, ...]:
-        return self._jumps
-
 
 @dataclass(frozen=True)
-class SurvivalComplementProduct(DistributionFn):
+class SurvivalComplementProduct(_Composite):
     """F(x) = 1 - (1-first(x))(1-second(x)); the cdf of min of independent lifetimes."""
 
     first: DistributionFn
     second: DistributionFn
-    _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _limits: _LimitTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_jumps", _merge_jumps(self.first.jump_points(), self.second.jump_points())
-        )
-        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def value(self, x: float) -> float:
         return _survival_join(self.first.value(x), self.second.value(x))
@@ -665,27 +651,19 @@ class SurvivalComplementProduct(DistributionFn):
     def right_limit(self, x: float) -> float:
         return _survival_join(self.first.right_limit(x), self.second.right_limit(x))
 
-    def jump_points(self) -> tuple[float, ...]:
-        return self._jumps
-
 
 @dataclass(frozen=True)
-class Convex(DistributionFn):
+class Convex(_Composite):
     """Pointwise mixture weight*first + (1-weight)*second."""
 
     weight: float
     first: DistributionFn
     second: DistributionFn
-    _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight!r}")
-        object.__setattr__(
-            self, "_jumps", _merge_jumps(self.first.jump_points(), self.second.jump_points())
-        )
-        object.__setattr__(self, "_limits", _LimitTable.of(self))
+        super().__post_init__()
 
     def _mix(self, a: float, b: float) -> float:
         return self.weight * a + (1.0 - self.weight) * b
@@ -702,12 +680,9 @@ class Convex(DistributionFn):
     def right_limit(self, x: float) -> float:
         return self._mix(self.first.right_limit(x), self.second.right_limit(x))
 
-    def jump_points(self) -> tuple[float, ...]:
-        return self._jumps
-
 
 @dataclass(frozen=True)
-class Clamp(DistributionFn):
+class Clamp(_Composite):
     """Pointwise median: clips ``base`` into the band [lower, upper].
 
     For monotone base/lower/upper with lower <= upper this is again a
@@ -718,13 +693,7 @@ class Clamp(DistributionFn):
     base: DistributionFn
     lower: DistributionFn
     upper: DistributionFn
-    _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _limits: _LimitTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        jumps = _merge_jumps(self.base.jump_points(), self.lower.jump_points())
-        object.__setattr__(self, "_jumps", _merge_jumps(jumps, self.upper.jump_points()))
-        object.__setattr__(self, "_limits", _LimitTable.of(self))
+    _parts = ("base", "lower", "upper")
 
     @staticmethod
     def _clip(b: float, lo: float, hi: float) -> float:
@@ -745,12 +714,9 @@ class Clamp(DistributionFn):
     def right_limit(self, x: float) -> float:
         return self._clip(self.base.right_limit(x), self.lower.right_limit(x), self.upper.right_limit(x))
 
-    def jump_points(self) -> tuple[float, ...]:
-        return self._jumps
-
 
 @dataclass(frozen=True)
-class Switch(DistributionFn):
+class Switch(_Composite):
     """Two-piece splice: ``before`` on (-inf, point), ``after`` on [point, inf).
 
     Valid as a distribution function when both pieces are monotone and the
@@ -762,8 +728,6 @@ class Switch(DistributionFn):
     point: float
     before: DistributionFn
     after: DistributionFn
-    _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo = self.before.left_limit(self.point)
@@ -772,11 +736,14 @@ class Switch(DistributionFn):
             raise ValueError(
                 f"splice drops at {self.point!r}: before(point-)={lo!r} > after(point)={hi!r}"
             )
+        super().__post_init__()
+
+    def _jump_set(self) -> set[float]:
+        """``before``'s jumps below the point, ``after``'s from it on, and the point."""
         jumps = {p for p in self.before.jump_points() if p < self.point}
         jumps.update(p for p in self.after.jump_points() if p >= self.point)
         jumps.add(self.point)
-        object.__setattr__(self, "_jumps", tuple(sorted(jumps)))
-        object.__setattr__(self, "_limits", _LimitTable.of(self))
+        return jumps
 
     def value(self, x: float) -> float:
         return self.before.value(x) if x < self.point else self.after.value(x)
@@ -796,9 +763,6 @@ class Switch(DistributionFn):
     def right_limit(self, x: float) -> float:
         return self.before.right_limit(x) if x < self.point else self.after.right_limit(x)
 
-    def jump_points(self) -> tuple[float, ...]:
-        return self._jumps
-
 
 def _survival_join(a: float, b: float) -> float:
     """a + b - a*b, kept exact when either argument is 1.
@@ -809,10 +773,6 @@ def _survival_join(a: float, b: float) -> float:
     if a == 1.0 or b == 1.0:
         return 1.0
     return a + b - a * b
-
-
-def _merge_jumps(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(sorted(set(a) | set(b)))
 
 
 def lifetime_max(component: DistributionFn, shock: DistributionFn) -> Product:

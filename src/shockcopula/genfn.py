@@ -65,8 +65,7 @@ __all__ = [
     "GeneratorDomainError",
     "Generator",
     "ExtendedGenerator",
-    "RMMFromPhi",
-    "RMMFromChi",
+    "RMMGenerator",
     "TruncatedLinear",
     "IdentityGenerator",
     "UnitGenerator",
@@ -127,9 +126,9 @@ class Generator(ABC):
 
         This form calls the generator once per entry.  Extended generators
         override it with a read of their jump rows where the lifetime is a
-        step function, and the rmm wrappers with arithmetic on their base's
-        array; every entry gets the float, or raises the error, of a call at
-        that entry.
+        step function, and :class:`RMMGenerator` with arithmetic on its
+        base's array; every entry gets the float, or raises the error, of a
+        call at that entry.
         """
         u = np.asarray(u, dtype=float)
         return np.array([self(t) for t in u.ravel().tolist()], dtype=float).reshape(u.shape)
@@ -376,15 +375,18 @@ def extend_chi(component: DistributionFn, shock: DistributionFn) -> ExtendedGene
 
 
 @dataclass(frozen=True)
-class RMMFromPhi(Generator):
-    """f(u) = phi(u) - u."""
+class RMMGenerator(Generator):
+    """The reflected-maxmin generator of a max-type or min-type base:
+    rmm_f, f(u) = phi(u) - u, from phi or psi, and rmm_g,
+    g(w) = 1 - w - chi(1 - w), from chi; both are 0 at and beyond the ends."""
 
     base: Generator
-    kind: str = field(default=RMM_F, init=False)
+    kind: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.base.kind not in _MAX_KINDS:
-            raise ValueError(f"RMMFromPhi needs a phi/psi generator, got {self.base.kind!r}")
+        if self.base.kind not in (PHI, PSI, CHI):
+            raise ValueError(f"to_rmm expects a phi/psi/chi generator, got kind {self.base.kind!r}")
+        object.__setattr__(self, "kind", RMM_G if self.base.kind == CHI else RMM_F)
 
     def __call__(self, u: float) -> float:
         u = float(u)
@@ -392,50 +394,27 @@ class RMMFromPhi(Generator):
             return 0.0
         if u >= 1.0:
             return 0.0
-        return self.base(u) - u
+        if self.kind == RMM_F:
+            return self.base(u) - u
+        return 1.0 - u - self.base(1.0 - u)
 
     def values(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return np.where((u <= 0.0) | (u >= 1.0), 0.0, self.base.values(u) - u)
+        if self.kind == RMM_F:
+            inner = self.base.values(u) - u
+        else:
+            inner = 1.0 - u - self.base.values(1.0 - u)
+        return np.where((u <= 0.0) | (u >= 1.0), 0.0, inner)
 
     def breakpoints(self) -> tuple[float, ...]:
-        return self.base.breakpoints()
-
-
-@dataclass(frozen=True)
-class RMMFromChi(Generator):
-    """g(w) = 1 - w - chi(1 - w)."""
-
-    base: Generator
-    kind: str = field(default=RMM_G, init=False)
-
-    def __post_init__(self) -> None:
-        if self.base.kind != CHI:
-            raise ValueError(f"RMMFromChi needs a chi generator, got {self.base.kind!r}")
-
-    def __call__(self, w: float) -> float:
-        w = float(w)
-        if w <= 0.0:
-            return 0.0
-        if w >= 1.0:
-            return 0.0
-        return 1.0 - w - self.base(1.0 - w)
-
-    def values(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return np.where((w <= 0.0) | (w >= 1.0), 0.0, 1.0 - w - self.base.values(1.0 - w))
-
-    def breakpoints(self) -> tuple[float, ...]:
+        if self.kind == RMM_F:
+            return self.base.breakpoints()
         return tuple(sorted(1.0 - b for b in self.base.breakpoints()))
 
 
 def to_rmm(gen: Generator) -> Generator:
     """Reflected-maxmin generator from a max-type or min-type generator."""
-    if gen.kind in _MAX_KINDS:
-        return RMMFromPhi(gen)
-    if gen.kind == CHI:
-        return RMMFromChi(gen)
-    raise ValueError(f"to_rmm expects a phi/psi/chi generator, got kind {gen.kind!r}")
+    return RMMGenerator(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -645,54 +624,35 @@ def validate(gen: Generator, samples: int = 513) -> ValidationReport:
     for u, v in zip(grid, vals):
         if not -_VALIDATE_TOL <= v <= 1.0 + _VALIDATE_TOL:
             issue("codomain", u, f"value {v!r} outside [0, 1]")
-
-    if gen.kind in (PHI, PSI, CHI):
-        if vals[0] != 0.0:
-            issue("endpoint-0", 0.0, f"gen(0) = {vals[0]!r}")
-        if vals[-1] != 1.0:
-            issue("endpoint-1", 1.0, f"gen(1) = {vals[-1]!r}")
-        for (u1, v1), (u2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-            if v2 < v1 - _VALIDATE_TOL:
-                issue("monotone", u2, f"gen({u1!r}) = {v1!r} > gen({u2!r}) = {v2!r}")
-        if gen.kind in _MAX_KINDS:
-            prev = None
-            for u in grid:
-                if u <= 0.0:
-                    continue
-                s = gen.star(u)
-                if prev is not None and _nonincreasing_violation(prev, s):
-                    issue("star-decreasing", u, f"star rises to {s!r}")
-                prev = s
-        else:
-            prev = None
-            for u in grid:
-                s = gen.substar(u)
-                if s < 1.0 - _VALIDATE_TOL:
-                    issue("substar-codomain", u, f"substar {s!r} below 1")
-                if prev is not None and _nonincreasing_violation(prev, s):
-                    issue("substar-decreasing", u, f"substar rises to {s!r}")
-                prev = s
-    elif gen.kind in _RMM_KINDS:
-        if vals[0] != 0.0:
-            issue("endpoint-0", 0.0, f"gen(0) = {vals[0]!r}")
-        if abs(vals[-1]) > _VALIDATE_TOL:
-            issue("endpoint-1", 1.0, f"gen(1) = {vals[-1]!r}")
-        if abs(gen.star(1.0)) > _VALIDATE_TOL:
-            issue("star-at-1", 1.0, f"star(1) = {gen.star(1.0)!r}")
-        for (u1, v1), (u2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-            if u2 + v2 < u1 + v1 - _VALIDATE_TOL:
-                issue("shifted-monotone", u2,
-                      f"u + gen(u) falls from {u1 + v1!r} to {u2 + v2!r}")
-        prev = None
-        for u in grid:
-            if u <= 0.0:
-                continue
-            s = gen.star(u)
-            if prev is not None and _nonincreasing_violation(prev, s):
-                issue("star-decreasing", u, f"star rises to {s!r}")
-            prev = s
-    else:
+    if gen.kind not in _ALL_KINDS:
         raise ValueError(f"unknown generator kind {gen.kind!r}")
+
+    rmm = gen.kind in _RMM_KINDS
+    if vals[0] != 0.0:
+        issue("endpoint-0", 0.0, f"gen(0) = {vals[0]!r}")
+    if abs(vals[-1]) > _VALIDATE_TOL if rmm else vals[-1] != 1.0:
+        issue("endpoint-1", 1.0, f"gen(1) = {vals[-1]!r}")
+    if rmm and abs(gen.star(1.0)) > _VALIDATE_TOL:
+        issue("star-at-1", 1.0, f"star(1) = {gen.star(1.0)!r}")
+    for (u1, v1), (u2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
+        if rmm:
+            if u2 + v2 < u1 + v1 - _VALIDATE_TOL:
+                issue("shifted-monotone", u2, f"u + gen(u) falls from {u1 + v1!r} to {u2 + v2!r}")
+        elif v2 < v1 - _VALIDATE_TOL:
+            issue("monotone", u2, f"gen({u1!r}) = {v1!r} > gen({u2!r}) = {v2!r}")
+
+    # the ratio transform must not rise: star on (0, 1], chi's substar on [0, 1]
+    name, transform = ("substar", gen.substar) if gen.kind == CHI else ("star", gen.star)
+    prev = None
+    for u in grid:
+        if u <= 0.0 and gen.kind != CHI:
+            continue
+        s = transform(u)
+        if gen.kind == CHI and s < 1.0 - _VALIDATE_TOL:
+            issue("substar-codomain", u, f"substar {s!r} below 1")
+        if prev is not None and _nonincreasing_violation(prev, s):
+            issue(f"{name}-decreasing", u, f"{name} rises to {s!r}")
+        prev = s
 
     diagnostics: dict[str, float] = {}
     diagnostics["max_adjacent_gap"] = max(

@@ -139,7 +139,7 @@ def joint_maxmin_H(components, shock, x, p):
     total = 0.0
     for mask in range(1 << m):
         lo_arg = min_t
-        hi_fz = 0.0
+        hi_fz = -math.inf
         weight = ft
         empty_rest = True
         for b in range(m):

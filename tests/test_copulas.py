@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference
@@ -51,6 +51,8 @@ from shockcopula.genfn import (
     extend_phi,
     to_rmm,
 )
+from shockcopula.imprecise import PBox, ShockModel
+from shockcopula.verify import DiscreteModelOracle
 
 A = 1.0 - math.exp(-1.0)
 
@@ -392,10 +394,8 @@ def test_joint_maxmin_asks_the_shock_once_per_distinct_argument(n, data):
         got = joint_maxmin_H(comps, counted, x, p)
         assert got.hex() == kernel_reference.joint_maxmin_H(comps, shock, x, p).hex()
         assert len(set(counted.args)) == len(counted.args)
-        # 0.0 joins min_T x and the min-type x_j only where some x_j is negative
-        assert len(counted.args) <= n - p + 1 + any(xj < 0.0 for xj in x[p:])
-        if min(x) >= 0.0:
-            assert len(counted.args) <= n - p + 1
+        # min_T x and the min-type x_j, negative ones included
+        assert len(counted.args) <= n - p + 1
         asked.update(counted.args)
     # a stack asks once per distinct argument of all its points, and for no other
     counted = _CountingShock(shock)
@@ -404,6 +404,62 @@ def test_joint_maxmin_asks_the_shock_once_per_distinct_argument(n, data):
         kernel_reference.joint_maxmin_H(comps, shock, x, p).hex() for x in points]
     assert len(set(counted.args)) == len(counted.args)
     assert set(counted.args) == asked
+
+
+def _oracle(family, comps, shock, p):
+    return DiscreteModelOracle(ShockModel(family, tuple(PBox.precise(c) for c in comps), shock, p))
+
+
+def test_joint_maxmin_at_negative_min_type_coordinates_equals_the_oracle():
+    # with Z = 0, min(Y2, Z) <= -1 exactly when Y2 = -2, so the shock term
+    # over an empty K, F_Z(x1) - F_Z(x2), is 1 - 0 at x2 = -1, not 1 - F_Z(0)
+    comps = (Discrete([(1.0, 0.5), (2.0, 0.5)]), Discrete([(-2.0, 0.5), (3.0, 0.5)]))
+    shock = Discrete([(0.0, 1.0)])
+    oracle = _oracle("maxmin", comps, shock, 1)
+    assert joint_maxmin_H(comps, shock, (2.0, -1.0), 1) == 0.5
+    assert joint_maxmin_H(comps, shock, (1.5, -1.0), 1) == 0.25
+    points = [(2.0, -1.0), (1.5, -1.0), (2.0, -2.0), (0.5, -3.0), (3.0, -0.5), (1.0, 0.0),
+              (2.0, 3.0), (-1.0, -1.0)]
+    for x in points:
+        want = oracle.exact_joint(x)
+        assert oracle.exact_joint_bruteforce(x) == want, x
+        assert joint_maxmin_H(comps, shock, x, 1) == want, x
+        assert kernel_reference.joint_maxmin_H(comps, shock, x, 1) == want, x
+    stacked = joint_maxmin_values(comps, shock, np.array(points).T, 1)
+    assert stacked.tolist() == [oracle.exact_joint(x) for x in points]
+
+
+_SIGNED = (-2.0, -1.0, -0.5, 0.0, 1.0, 2.5)
+
+
+@st.composite
+def _signed_discretes(draw):
+    xs = draw(st.lists(st.sampled_from(_SIGNED), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(xs), max_size=len(xs)))
+    return Discrete([(x, w / sum(weights)) for x, w in zip(xs, weights)])
+
+
+@st.composite
+def _signed_maxmin_cases(draw):
+    n = draw(st.integers(2, 4))
+    p = draw(st.integers(1, n - 1))
+    comps = draw(st.lists(_signed_discretes(), min_size=n, max_size=n))
+    coordinate = st.sampled_from(_SIGNED + (-3.0, -0.75, 0.5, 3.0))
+    points = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=5))
+    return comps, draw(_signed_discretes()), p, points
+
+
+@given(_signed_maxmin_cases())
+@settings(max_examples=100, deadline=None)
+@example(([Discrete([(1.0, 1.0)]), Discrete([(-2.0, 0.5), (2.5, 0.5)])],
+          Discrete([(-0.5, 0.5), (0.0, 0.5)]), 1, [[1.0, -1.0]]))
+def test_joint_maxmin_equals_the_oracle_on_signed_supports(case):
+    comps, shock, p, points = case
+    oracle = _oracle("maxmin", comps, shock, p)
+    got = joint_maxmin_values(comps, shock, np.array(points).T, p)
+    for x, value in zip(points, got.tolist()):
+        assert abs(value - oracle.exact_joint(x)) < 1e-12, x
+        assert abs(value - oracle.exact_joint_bruteforce(x)) < 1e-12, x
 
 
 def test_joint_rmm_product_matches_enumeration():

@@ -137,6 +137,11 @@ def test_piecewise_linear_with_jump():
     assert f.right_limit(1.0) == 0.7
     assert abs(f.value(1.5) - 0.85) < 1e-15
     assert f.jump_points() == (1.0,)
+    # off the breakpoints every read is 0 below the first (-inf and nan
+    # included) and 1 above the last (+inf included)
+    for x, want in ((-math.inf, 0.0), (math.nan, 0.0), (-0.5, 0.0), (math.nextafter(0.0, -1.0), 0.0),
+                    (2.5, 1.0), (math.nextafter(2.0, 3.0), 1.0), (math.inf, 1.0)):
+        assert [read(x) for read in (f.left_limit, f.value, f.right_limit)] == [want] * 3, x
     # level inside the jump maps to the jump coordinate
     assert f.smallest_preimage(0.55) == 1.0
     # level on a ramp interpolates exactly
@@ -334,11 +339,27 @@ composites = st.recursive(_leaves, _extend, max_leaves=5).filter(
 )
 
 
+def _assert_jump_rule(f):
+    """A composite's jump points are its parts' union (a Switch's the splice
+    rule), sorted, and its limit table is built on them."""
+    if isinstance(f, Switch):
+        want = {x for x in f.before.jump_points() if x < f.point}
+        want |= {x for x in f.after.jump_points() if x >= f.point} | {f.point}
+    elif isinstance(f, (Product, SurvivalComplementProduct, Convex, Clamp)):
+        parts = (f.base, f.lower, f.upper) if isinstance(f, Clamp) else (f.first, f.second)
+        want = set().union(*(part.jump_points() for part in parts))
+    else:
+        return
+    assert f.jump_points() == tuple(sorted(want))
+    assert f._limits.xs == f.jump_points()
+
+
 @given(composites, st.lists(st.floats(1e-9, 1.0 - 1e-9), max_size=4))
 # the splice point 1.0 is listed as a jump point although F is continuous there
 @example(Switch(1.0, Exponential(1.0), Exponential(1.0)), [0.25, 0.9])
 @settings(max_examples=150, deadline=None)
 def test_table_preimages_equal_the_linear_scan_bit_for_bit(f, extra):
+    _assert_jump_rule(f)
     # a level equal to a limit at a jump is a tie, where >= and <= decide the answer
     levels = {lim(x) for x in f.jump_points() for lim in (f.left_limit, f.right_limit)}
     levels.update(extra)
@@ -480,6 +501,7 @@ def _edge_arguments(fn):
 def test_values_equal_the_scalar_value_bit_for_bit(fn):
     # the overriding kinds, nested at random among themselves and with the
     # continuous kinds, which keep one value call per entry
+    _assert_jump_rule(fn)
     xs = _edge_arguments(fn)
     want = [fn.value(x).hex() for x in xs]
     got = fn.values(np.array(xs))

@@ -82,6 +82,20 @@ def test_rmm_transforms_reproduce_truncated_linear_forms():
     assert g.star(1.0) == 0.0
 
 
+def test_to_rmm_kind_follows_the_base():
+    for base, kind in ((IdentityGenerator("phi"), "rmm_f"), (UnitGenerator("psi"), "rmm_f"),
+                       (exp_dirac_phi(), "rmm_f"), (IdentityGenerator("chi"), "rmm_g"),
+                       (exp_dirac_chi(), "rmm_g")):
+        gen = to_rmm(base)
+        assert gen.kind == kind and gen.base is base
+        u = 0.3
+        assert gen(u) == (base(u) - u if kind == "rmm_f" else 1.0 - u - base(1.0 - u))
+    for base in (ZeroGenerator(), TruncatedLinear(0.4, kind="rmm_g")):
+        with pytest.raises(ValueError) as err:
+            to_rmm(base)
+        assert str(err.value) == f"to_rmm expects a phi/psi/chi generator, got kind {base.kind!r}"
+
+
 def test_defining_relation_on_the_reference_model():
     phi, chi = exp_dirac_phi(), exp_dirac_chi()
     fx, fy, fz = Exponential(1.0), Exponential(1.0), DiracStep(1.0)
@@ -314,6 +328,22 @@ def test_validate_flags_nonmonotone_table():
     sagging = PiecewiseLinearGenerator("phi", (0.0, 0.5, 1.0), (0.0, 0.1, 1.0))
     report = validate(sagging)
     assert "star-decreasing" in {i.condition for i in report.issues}, report.to_dict()
+
+
+@pytest.mark.parametrize("gen, want", [
+    (PiecewiseLinearGenerator("psi", (0.0, 0.25, 0.5, 1.0), (0.1, 0.7, 0.5, 1.2)),
+     [("codomain", 1.0), ("endpoint-0", 0.0), ("endpoint-1", 1.0), ("monotone", 0.5),
+      ("star-decreasing", 0.75), ("star-decreasing", 1.0)]),
+    (PiecewiseLinearGenerator("chi", (0.0, 0.25, 0.5, 1.0), (0.2, 0.7, 0.5, 0.9)),
+     [("endpoint-0", 0.0), ("endpoint-1", 1.0), ("monotone", 0.5), ("substar-codomain", 0.0),
+      ("substar-codomain", 0.25), ("substar-decreasing", 0.25), ("substar-decreasing", 0.5)]),
+    (PiecewiseLinearGenerator("rmm_g", (0.0, 0.25, 0.5, 1.0), (0.1, 0.6, 0.1, 0.3)),
+     [("endpoint-0", 0.0), ("endpoint-1", 1.0), ("star-at-1", 1.0), ("shifted-monotone", 0.5),
+      ("star-decreasing", 0.75), ("star-decreasing", 1.0)]),
+], ids=["max", "chi", "rmm"])
+def test_validate_lists_every_issue_in_order(gen, want):
+    report = validate(gen, samples=5)
+    assert [(i.condition, i.argument) for i in report.issues] == want
 
 
 # -- json constructors -----------------------------------------------------------

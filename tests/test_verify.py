@@ -331,6 +331,16 @@ def test_suites_pass_at_reduced_sizes():
             assert check["passed"], (report["suite"], check["check"], check["failures"][:2])
 
 
+def test_theorem_checks_count_only_the_instances_they_ran_on():
+    # n cycles through 2, 3, 4, 2: the bivariate sandwiches run on two of the four
+    report = suite_theorems(5, instances_per_family=4, points_per_instance=20)
+    counts = {c["check"]: c["instances"] for c in report["checks"]
+              if c["check"] != "rmm-envelope-quasicopula"}
+    bivariate = {"maxmin-bivariate-mixed-sandwich", "rmm-bivariate-copula-sandwich"}
+    assert bivariate < set(counts)
+    assert counts == {name: 2 if name in bivariate else 4 for name in counts}
+
+
 def test_run_suite_dispatch_and_merge(monkeypatch):
     def stub(name, ok=True):
         return lambda seed, **sizes: {"suite": name, "seed": seed, "passed": ok, "checks": []}

@@ -9,8 +9,11 @@ made point by point.  :func:`suite_theorems` runs the suite with these
 checks in place of the package's; the tests require the two reports to be
 equal, failures, their order and the raised errors included.
 
-Bound families are built through ``verify.build_bounds`` so that a test
-which replaces it plants the same fault in both paths.
+Each instance's label, bound family, members and marginals, and the
+instance counts, come from ``verify.suite_theorems`` itself, which builds
+bound families through ``verify.build_bounds``; the member copulas here are
+built through it too, so that a test which replaces it plants the same fault
+in both paths.
 """
 
 from unittest import mock
@@ -29,8 +32,6 @@ from shockcopula.imprecise import (
 from shockcopula.verify import (
     _columns,
     _lattice_points,
-    _member_models,
-    _model_label,
     _unit_points,
 )
 
@@ -62,13 +63,9 @@ def copula_sandwich(report, label, unit, lower, upper, members, tol):
                 report.record(label, u, (lows[q], highs[q]), values[q])
 
 
-def theorem_checks_marshall(rng, model, idx, points, reports):
+def theorem_checks_marshall(rng, model, label, bf, members, marginals, points, reports):
     n = model.n
-    label = _model_label(model, idx)
-    bf = verify.build_bounds(model)
     z = model.exogenous
-    members = _member_models(rng, model)
-    marginals = [member.precise_marginals() for member in members]
 
     copula_sandwich(reports["copula-sandwich"], label, _unit_points(rng, points, n),
                     bf.lower_gen, bf.upper_gen, members, 1e-12)
@@ -94,17 +91,11 @@ def theorem_checks_marshall(rng, model, idx, points, reports):
                 g = G.value(x[k])
                 if g > 0.0 and abs(gen.star(g) - 1.0 / fz) > 1e-10:
                     reports["star-identity"].record(label, [k, x[k]], 1.0 / fz, gen.star(g))
-    for r in reports.values():
-        r.instances += 1
 
 
-def theorem_checks_maxmin(rng, model, idx, points, reports):
+def theorem_checks_maxmin(rng, model, label, bf, members, marginals, points, reports):
     n, p = model.n, model.split
-    label = _model_label(model, idx)
-    bf = verify.build_bounds(model)
     z = model.exogenous
-    members = _member_models(rng, model)
-    marginals = [member.precise_marginals() for member in members]
 
     lattice = joint_law_checks(
         rng, reports, label, bf, points, lambda comps, xs: joint_maxmin_values(comps, z, xs, p),
@@ -135,17 +126,11 @@ def theorem_checks_maxmin(rng, model, idx, points, reports):
     if n == 2:
         copula_sandwich(reports["bivariate-mixed-sandwich"], label, _unit_points(rng, points, 2),
                         *_maxmin_mixed_vectors(bf), members, 1e-10)
-    for r in reports.values():
-        r.instances += 1
 
 
-def theorem_checks_rmm(rng, model, idx, points, reports):
+def theorem_checks_rmm(rng, model, label, bf, members, marginals, points, reports):
     n, p = model.n, model.split
-    label = _model_label(model, idx)
-    bf = verify.build_bounds(model)
     z = model.exogenous
-    members = _member_models(rng, model)
-    marginals = [member.precise_marginals() for member in members]
     lows = [b.lower for b in model.endogenous]
     ups = [b.upper for b in model.endogenous]
 
@@ -220,8 +205,6 @@ def theorem_checks_rmm(rng, model, idx, points, reports):
     if n == 2:
         copula_sandwich(reports["bivariate-copula-sandwich"], label, unit,
                         bf.upper_gen, bf.lower_gen, members, 1e-10)
-    for r in reports.values():
-        r.instances += 1
 
 
 def suite_theorems(seed, **sizes):
