@@ -43,28 +43,20 @@ from .genfn import (
 from .copulas import (
     GeneratorVector,
     MAX_DIMENSION,
-    joint_marshall_H,
     joint_marshall_values,
-    joint_maxmin_H,
     joint_maxmin_values,
-    joint_rmm_Hsigma,
     joint_rmm_Hsigma_values,
-    joint_rmm_product,
     joint_rmm_values,
     marshall2,
-    marshall_n,
     maxmin2,
-    maxmin_n,
     rmm2,
-    rmm_n,
 )
 from .imprecise import (
     BoundFamily,
     PBox,
     ShockModel,
     build_bounds,
-    maxmin_bivariate_mixed_bounds,
-    rmm_bivariate_copula_bounds,
+    maxmin_mixed_vectors,
     rmm_envelope,
     rmm_envelope_full_scan,
     rmm_envelope_full_scan_values,
@@ -89,13 +81,11 @@ __all__ = [
     "PiecewiseLinearGenerator", "TruncatedLinear", "UnitGenerator", "ZeroGenerator",
     "extend_chi", "extend_phi", "extend_psi", "generator_from_spec", "to_rmm",
     "validate",
-    "GeneratorVector", "MAX_DIMENSION", "joint_marshall_H", "joint_marshall_values",
-    "joint_maxmin_H", "joint_maxmin_values", "joint_rmm_Hsigma", "joint_rmm_Hsigma_values",
-    "joint_rmm_product", "joint_rmm_values", "marshall2", "marshall_n", "maxmin2",
-    "maxmin_n", "rmm2", "rmm_n",
-    "BoundFamily", "PBox", "ShockModel", "build_bounds", "maxmin_bivariate_mixed_bounds",
-    "rmm_bivariate_copula_bounds", "rmm_envelope", "rmm_envelope_full_scan",
-    "rmm_envelope_full_scan_values", "rmm_envelope_grid", "rmm_envelope_values",
+    "GeneratorVector", "MAX_DIMENSION", "joint_marshall_values", "joint_maxmin_values",
+    "joint_rmm_Hsigma_values", "joint_rmm_values", "marshall2", "maxmin2", "rmm2",
+    "BoundFamily", "PBox", "ShockModel", "build_bounds", "maxmin_mixed_vectors", "rmm_envelope",
+    "rmm_envelope_full_scan", "rmm_envelope_full_scan_values", "rmm_envelope_grid",
+    "rmm_envelope_values",
     "DiscreteModelOracle", "check_copula", "check_quasicopula", "monte_carlo_joint",
     "run_suite",
     "__version__",

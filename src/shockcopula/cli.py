@@ -188,10 +188,9 @@ def main() -> None:
               help="CSV destination (stdout when omitted).")
 def surface(config: str, family: str | None, grid: int, bound: str, out: str | None) -> None:
     """Evaluate one bound surface of the model's copula on a unit grid."""
-    with open(config) as fh:
-        spec = json.load(fh)
     try:
-        model = ShockModel.from_spec(spec)
+        with open(config) as fh:
+            model = ShockModel.from_spec(json.load(fh))
     except (ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"bad model config: {exc}")
     if family is not None and family != model.family:
@@ -387,7 +386,7 @@ def example(out: str) -> None:
 
 @main.command()
 @click.option("--suite", default="all", show_default=True, type=click.Choice(SUITE_NAMES))
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=click.IntRange(0, 2**64 - 1))
 @click.option("--out", type=click.Path(dir_okay=False, writable=True),
               help="JSON report destination (stdout summary either way).")
 def verify(suite: str, seed: int, out: str | None) -> None:

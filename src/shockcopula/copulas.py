@@ -4,14 +4,14 @@ Three families are implemented, each in a bivariate closed form and one
 n-variate array kernel (``marshall_values``, ``maxmin_values``,
 ``rmm_values``); the two are independent evaluation routes that tests hold
 against each other.  The kernels take arguments and precomputed generator
-values, one array per coordinate; one-point calls (``*_n``,
-``GeneratorVector.__call__``), point stacks and grids
-(``GeneratorVector.values``) all go through them.  Where every coordinate
-array has the same shape (one point, or a stack of points), the arguments
-and generator values sit in one table, one row per coordinate, and
-``rmm_values`` evaluates all its pair terms at once on that table; the axes
-of a grid keep one array per coordinate at its own shape, and ``rmm_values``
-takes their pairs one at a time.
+values, one array per coordinate; one-point calls
+(``GeneratorVector.__call__``), point stacks and grids
+(``GeneratorVector.values``) all reach them through one table, family to
+kernel.  Where every coordinate array has the same shape (one point, or a
+stack of points), the arguments and generator values sit in one table, one
+row per coordinate, and ``rmm_values`` evaluates all its pair terms at once
+on that table; the axes of a grid keep one array per coordinate at its own
+shape, and ``rmm_values`` takes their pairs one at a time.
 
 * Marshall: all components die at the latest of their own shock and a
   common shock.  ``C(u) = prod_i phi_i(u_i) * min_i u_i/phi_i(u_i)``,
@@ -26,9 +26,7 @@ Joint distribution functions of the underlying shock models are provided
 alongside; they are written directly in terms of the component and shock
 distribution functions and serve as the ground truth the copula
 compositions must reproduce.  Each has one array form (``joint_*_values``)
-over per-coordinate arrays of time points, and its one-point form
-(``joint_marshall_H``, ``joint_maxmin_H``, ``joint_rmm_product``,
-``joint_rmm_Hsigma``) is that form on a stack of one.
+over per-coordinate arrays of time points; one point is a stack of one.
 """
 
 from __future__ import annotations
@@ -50,9 +48,6 @@ __all__ = [
     "marshall2",
     "maxmin2",
     "rmm2",
-    "marshall_n",
-    "maxmin_n",
-    "rmm_n",
     "marshall_values",
     "maxmin_values",
     "rmm_values",
@@ -60,17 +55,11 @@ __all__ = [
     "joint_maxmin_values",
     "joint_rmm_values",
     "joint_rmm_Hsigma_values",
-    "joint_marshall_H",
-    "joint_maxmin_H",
-    "joint_rmm_product",
-    "joint_rmm_Hsigma",
 ]
 
 # The maxmin expansion sums over all subsets of the min-type block, so the
 # dimension is capped to keep 2^|S| enumerable.
 MAX_DIMENSION = 12
-
-_FAMILIES = ("marshall", "maxmin", "rmm")
 
 
 def _check_unit(value: float, name: str) -> float:
@@ -78,14 +67,6 @@ def _check_unit(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
-
-
-def _check_args(gens: Sequence[Generator], u: Sequence[float]) -> tuple[list[float], list[float]]:
-    """The checked arguments of a one-point call and the generator values there."""
-    if len(u) != len(gens):
-        raise ValueError(f"expected {len(gens)} arguments, got {len(u)}")
-    args = [_check_unit(ui, f"u{k + 1}") for k, ui in enumerate(u)]
-    return args, [float(gen(ui)) for gen, ui in zip(gens, args)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,28 +279,6 @@ def _pair_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, rows
 
 
-def marshall_n(gens: Sequence[Generator], u: Sequence[float]) -> float:
-    """Marshall copula at one point: :func:`marshall_values` of the generators."""
-    return float(marshall_values(*_check_args(gens, u)))
-
-
-def maxmin_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
-    """Maxmin copula at one point: :func:`maxmin_values` of the generators."""
-    if len(gens) > MAX_DIMENSION:
-        raise ValueError(f"dimension {len(gens)} exceeds the cap {MAX_DIMENSION}")
-    return float(maxmin_values(*_check_args(gens, u), p))
-
-
-def rmm_n(gens: Sequence[Generator], u: Sequence[float], p: int) -> float:
-    """Reflected-maxmin copula; coordinates 0..p-1 max-type, p..n-1 min-type.
-
-    The point and its generator values go to :func:`rmm_values` as one array.
-    """
-    args, fvals = _check_args(gens, u)
-    table = np.array(args + fvals)
-    return float(rmm_values(table[:len(gens)], table[len(gens):], p))
-
-
 # ---------------------------------------------------------------------------
 # point stacks and grids
 # ---------------------------------------------------------------------------
@@ -426,7 +385,7 @@ def _check_family(family: str, n: int, p: int | None, what: str) -> None:
     :data:`MAX_DIMENSION` coordinates (``what`` names them), and a block
     split ``p`` the family cannot take: None or n for marshall, an int with
     1 <= p < n otherwise."""
-    if family not in _FAMILIES:
+    if family not in _KERNELS:
         raise ValueError(f"unknown family {family!r}")
     if n < 2:
         raise ValueError(f"need at least two {what}")
@@ -442,6 +401,10 @@ def _check_family(family: str, n: int, p: int | None, what: str) -> None:
 # the generator kinds each family takes in its max-type and min-type blocks
 _BLOCK_KINDS = {"marshall": ((PHI, PSI), ()), "maxmin": ((PHI, PSI), (CHI,)),
                 "rmm": ((RMM_F,), (RMM_G,))}
+
+# each family's kernel, called as kernel(arguments, generator values, p)
+_KERNELS = {"marshall": lambda us, fs, p: marshall_values(us, fs), "maxmin": maxmin_values,
+            "rmm": rmm_values}
 
 
 def _split(self) -> int:
@@ -493,21 +456,30 @@ class GeneratorVector:
         shape, groups = _tables(us, self)
         out = np.empty(shape)
         n, p = self.n, self.split
-        kernel = {"marshall": lambda u, f: (marshall_values(u, f),),
-                  "maxmin": lambda u, f: (maxmin_values(u, f, p),),
-                  "rmm": lambda u, f: (rmm_values(u, f, p),)}[self.family]
+        kernel = _KERNELS[self.family]
         # entries per point: maxmin's subsets, the stacked rmm pair factors
         width = {"maxmin": 1 << (n - p),
                  "rmm": p * (n - p) * n if isinstance(groups[0], np.ndarray) else 1}
-        _by_slabs(kernel, groups, (out,), width.get(self.family, 1))
+        _by_slabs(lambda u, f: (kernel(u, f, p),), groups, (out,), width.get(self.family, 1))
         return out
 
     def __call__(self, u: Sequence[float]) -> float:
-        if self.family == "marshall":
-            return marshall_n(self.generators, u)
-        if self.family == "maxmin":
-            return maxmin_n(self.generators, u, self.p)  # type: ignore[arg-type]
-        return rmm_n(self.generators, u, self.p)  # type: ignore[arg-type]
+        """The copula at one point: the float :meth:`values` returns on a stack of one.
+
+        Each generator is called at its checked coordinate, and the family's
+        kernel runs on those Python floats; rmm takes the point and its
+        generator values from one array, the stacked layout on which it
+        evaluates all pair terms at once.
+        """
+        gens = self.generators
+        if len(u) != len(gens):
+            raise ValueError(f"expected {len(gens)} arguments, got {len(u)}")
+        args = [_check_unit(ui, f"u{k + 1}") for k, ui in enumerate(u)]
+        fvals = [float(gen(ui)) for gen, ui in zip(gens, args)]
+        if self.family == "rmm":
+            table = np.array(args + fvals)
+            args, fvals = table[:len(gens)], table[len(gens):]
+        return float(_KERNELS[self.family](args, fvals, self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +507,6 @@ def _shock_at(shock: DistributionFn, *args: np.ndarray) -> list[np.ndarray]:
     fz = np.array([shock.value(t) for t in distinct.tolist()], dtype=float)[inverse]
     ends = np.cumsum([a.size for a in args])[:-1]
     return [part.reshape(a.shape) for part, a in zip(np.split(fz, ends), args)]
-
-
-def _one_point(x: Sequence[float]) -> np.ndarray:
-    """One point as a stack of one: n coordinate arrays of length 1."""
-    return np.asarray(x, dtype=float).reshape(-1, 1)
 
 
 def joint_marshall_values(
@@ -671,33 +638,3 @@ def joint_rmm_Hsigma_values(
     args += [1.0 - lifetime_min(components[j], shock).values(xs[j]) for j in range(p, n)]
     return gens.values(args)
 
-
-def joint_marshall_H(
-    components: Sequence[DistributionFn], shock: DistributionFn, x: Sequence[float]
-) -> float:
-    """:func:`joint_marshall_values` at one point, a stack of one."""
-    return float(joint_marshall_values(components, shock, _one_point(x))[0])
-
-
-def joint_maxmin_H(
-    components: Sequence[DistributionFn], shock: DistributionFn, x: Sequence[float], p: int
-) -> float:
-    """:func:`joint_maxmin_values` at one point, a stack of one."""
-    return float(joint_maxmin_values(components, shock, _one_point(x), p)[0])
-
-
-def joint_rmm_product(
-    components: Sequence[DistributionFn], shock: DistributionFn, x: Sequence[float], p: int
-) -> float:
-    """:func:`joint_rmm_values` at one point, a stack of one."""
-    return float(joint_rmm_values(components, shock, _one_point(x), p)[0])
-
-
-def joint_rmm_Hsigma(
-    gens: GeneratorVector,
-    components: Sequence[DistributionFn],
-    shock: DistributionFn,
-    x: Sequence[float],
-) -> float:
-    """:func:`joint_rmm_Hsigma_values` at one point, a stack of one."""
-    return float(joint_rmm_Hsigma_values(gens, components, shock, _one_point(x))[0])

@@ -59,8 +59,7 @@ __all__ = [
     "ShockModel",
     "BoundFamily",
     "build_bounds",
-    "maxmin_bivariate_mixed_bounds",
-    "rmm_bivariate_copula_bounds",
+    "maxmin_mixed_vectors",
     "H_bounds_values",
     "rmm_envelope",
     "rmm_envelope_full_scan",
@@ -206,6 +205,8 @@ class ShockModel:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "ShockModel":
+        if not isinstance(spec, dict):
+            raise ValueError(f"model spec must be a dict, got {type(spec).__name__}")
         family = spec.get("family")
         boxes = tuple(PBox.from_spec(s) for s in spec["endogenous"])
         p = spec.get("p")
@@ -310,30 +311,14 @@ def _require_family(bf: BoundFamily, family: str, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _maxmin_mixed_vectors(bf: BoundFamily) -> tuple[GeneratorVector, GeneratorVector]:
-    """(phi_lo, chi_hi) and (phi_hi, chi_lo), the bivariate mixed-bound vectors."""
-    _require_family(bf, "maxmin", "maxmin_bivariate_mixed_bounds")
+def maxmin_mixed_vectors(bf: BoundFamily) -> tuple[GeneratorVector, GeneratorVector]:
+    """(phi_lo, chi_hi) and (phi_hi, chi_lo): their copulas are the bivariate maxmin
+    bounds, below and above.  (The rmm pair is ``(bf.upper_gen, bf.lower_gen)``.)"""
+    _require_family(bf, "maxmin", "maxmin_mixed_vectors")
     if bf.n != 2:
         raise ValueError("the mixed-bound sandwich is a bivariate statement")
     lo, hi = bf.lower_gen.generators, bf.upper_gen.generators
     return GeneratorVector("maxmin", (lo[0], hi[1]), 1), GeneratorVector("maxmin", (hi[0], lo[1]), 1)
-
-
-def maxmin_bivariate_mixed_bounds(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
-    """Bivariate copula-level sandwich: (phi_lo, chi_hi) below, (phi_hi, chi_lo) above."""
-    return tuple(gv(u) for gv in _maxmin_mixed_vectors(bf))
-
-
-def rmm_bivariate_copula_bounds(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:
-    """Bivariate rmm copula-level sandwich (C_hi_gens <= C <= C_lo_gens).
-
-    The copula with the *lower* generator pair dominates pointwise, so the
-    returned tuple is (upper_gen(u), lower_gen(u)).
-    """
-    _require_family(bf, "rmm", "rmm_bivariate_copula_bounds")
-    if bf.n != 2:
-        raise ValueError("the reversed copula-level sandwich is a bivariate statement")
-    return bf.upper_gen(u), bf.lower_gen(u)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +334,8 @@ def H_bounds_values(bf: BoundFamily, xs: Sequence[np.ndarray]) -> tuple[np.ndarr
     the joint is the reflected P(U_T <= x_T, U_S > x_S), so a min-type
     coordinate enters through the survival function of the opposite bound.
     """
+    if len(xs) != bf.n:
+        raise ValueError(f"expected {bf.n} coordinate arrays, got {len(xs)}")
     xs = [np.asarray(x, dtype=float) for x in xs]
     lo, hi = ([G.values(x) for G, x in zip(Gs, xs)] for Gs in (bf.lower_G, bf.upper_G))
     if bf.family == "rmm":

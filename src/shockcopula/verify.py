@@ -48,9 +48,9 @@ from .imprecise import (
     H_bounds_values,
     _envelope_of_tables,
     _full_scan_of_tables,
-    _maxmin_mixed_vectors,
     _vertex_tables,
     build_bounds,
+    maxmin_mixed_vectors,
     rmm_envelope_grid,
 )
 
@@ -690,7 +690,7 @@ def _theorem_checks_maxmin(rng, model, label, bf, members, marginals, points, re
 
     if n == 2:
         _copula_sandwich(reports["bivariate-mixed-sandwich"], label, _unit_points(rng, points, 2),
-                         *_maxmin_mixed_vectors(bf), members, 1e-10)
+                         *maxmin_mixed_vectors(bf), members, 1e-10)
 
 
 def _rmm_lattice_checks(reports, label, model, bf, lattice) -> None:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from shockcopula.copulas import rmm_n
+from envelope_reference import rmm_from_values
 from shockcopula.distfn import lifetime_max, lifetime_min
 
 
@@ -174,11 +174,12 @@ def joint_rmm_product(components, shock, x, p):
 
 
 def joint_rmm_Hsigma(gens, components, shock, x):
-    """The rmm copula of ``gens`` at C(G_T(x), 1 - G_S(x)), lifetimes built per call."""
+    """The rmm copula of ``gens`` at C(G_T(x), 1 - G_S(x)), lifetimes built per call,
+    by the scalar pair loop at the generator values of the composed arguments."""
     n, p = gens.n, gens.split
     args = []
     for i in range(p):
         args.append(lifetime_max(components[i], shock).value(x[i]))
     for j in range(p, n):
         args.append(1.0 - lifetime_min(components[j], shock).value(x[j]))
-    return rmm_n(gens.generators, args, p)
+    return rmm_from_values(args, [float(gen(a)) for gen, a in zip(gens.generators, args)], p)

@@ -412,6 +412,16 @@ def test_surface_rejects_bad_requests(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_surface_rejects_a_config_that_is_not_a_json_object(runner, tmp_path):
+    for name, text, reason in (("bad.json", "{bad", "Expecting property name"),
+                               ("list.json", "[1, 2]", "model spec must be a dict, got list")):
+        path = tmp_path / name
+        path.write_text(text)
+        result = runner.invoke(main, ["surface", "--config", str(path), "--grid", "3"])
+        assert result.exit_code == 2, (name, result.output)
+        assert "bad model config" in result.output and reason in result.output
+
+
 # -- example -----------------------------------------------------------------------
 
 FIXTURES = (
@@ -500,3 +510,21 @@ def test_verify_runs_a_real_suite_end_to_end(runner, tmp_path):
 
     result = runner.invoke(main, ["verify", "--suite", "nonsense"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_rejects_a_seed_outside_the_stream_key_range(runner, seed):
+    # the real suite: a seed that reached the stream key would raise there
+    result = runner.invoke(main, ["verify", "--suite", "theorems", "--seed", seed])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+
+
+def test_verify_passes_both_ends_of_the_seed_range_to_the_suite(runner, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda name, seed: seeds.append(seed) or canned_report(True, name))
+    for seed in (0, 2**64 - 1):
+        result = runner.invoke(main, ["verify", "--suite", "axioms", "--seed", str(seed)])
+        assert result.exit_code == 0, result.output
+    assert seeds == [0, 2**64 - 1]

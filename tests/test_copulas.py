@@ -14,20 +14,13 @@ from shockcopula.copulas import (
     MAX_DIMENSION,
     GeneratorVector,
     _grid_arrays,
-    joint_marshall_H,
     joint_marshall_values,
-    joint_maxmin_H,
     joint_maxmin_values,
-    joint_rmm_Hsigma,
     joint_rmm_Hsigma_values,
-    joint_rmm_product,
     joint_rmm_values,
     marshall2,
-    marshall_n,
     maxmin2,
-    maxmin_n,
     rmm2,
-    rmm_n,
     rmm_values,
 )
 from shockcopula.distfn import (
@@ -39,7 +32,6 @@ from shockcopula.distfn import (
     Product,
     Uniform,
     lifetime_max,
-    lifetime_min,
 )
 from shockcopula.genfn import (
     Generator,
@@ -52,7 +44,7 @@ from shockcopula.genfn import (
     to_rmm,
 )
 from shockcopula.imprecise import PBox, ShockModel
-from shockcopula.verify import DiscreteModelOracle
+from shockcopula.verify import DiscreteModelOracle, philox_stream, random_generator_vector
 
 A = 1.0 - math.exp(-1.0)
 
@@ -103,11 +95,11 @@ def test_bivariate_forms_agree_with_n_variate():
     g = to_rmm(chi)
     for u in GRID:
         for v in GRID:
-            assert marshall2(phi, phi, u, v) == marshall_n((phi, phi), (u, v))
+            assert marshall2(phi, phi, u, v) == GeneratorVector("marshall", (phi, phi))((u, v))
             # the subset expansion associates products differently from the
             # min form, so these two can drift by an ulp
-            assert abs(maxmin2(phi, chi, u, v) - maxmin_n((phi, chi), (u, v), 1)) < 1e-15
-            assert rmm2(f, g, u, v) == rmm_n((f, g), (u, v), 1)
+            assert abs(maxmin2(phi, chi, u, v) - GeneratorVector("maxmin", (phi, chi), 1)((u, v))) < 1e-15
+            assert rmm2(f, g, u, v) == GeneratorVector("rmm", (f, g), 1)((u, v))
 
 
 def test_arguments_outside_unit_interval_are_rejected():
@@ -117,7 +109,7 @@ def test_arguments_outside_unit_interval_are_rejected():
     with pytest.raises(ValueError):
         maxmin2(phi, chi, 0.5, 1.5)
     with pytest.raises(ValueError):
-        rmm_n((ZeroGenerator(), ZeroGenerator("rmm_g")), (0.5, math.nan), 1)
+        GeneratorVector("rmm", (ZeroGenerator(), ZeroGenerator("rmm_g")), 1)((0.5, math.nan))
 
 
 # -- degenerate generators pin the classical copulas ----------------------------
@@ -127,23 +119,24 @@ def test_identity_generators_give_the_product_copula():
     gens = (IdentityGenerator("phi"), IdentityGenerator("psi"), IdentityGenerator("phi"))
     for u in INTERIOR:
         for v in INTERIOR:
-            assert abs(marshall_n(gens[:2], (u, v)) - u * v) < 1e-15
-            assert abs(marshall_n(gens, (u, v, 0.7)) - u * v * 0.7) < 1e-15
+            assert abs(GeneratorVector("marshall", gens[:2])((u, v)) - u * v) < 1e-15
+            assert abs(GeneratorVector("marshall", gens)((u, v, 0.7)) - u * v * 0.7) < 1e-15
 
 
 def test_unit_generators_give_the_minimum_copula():
     gens = (UnitGenerator("phi"), UnitGenerator("psi"))
     for u in GRID:
         for v in GRID:
-            assert marshall_n(gens, (u, v)) == (0.0 if u == 0.0 or v == 0.0 else min(u, v))
+            want = 0.0 if u == 0.0 or v == 0.0 else min(u, v)
+            assert GeneratorVector("marshall", gens)((u, v)) == want
 
 
 def test_zero_generators_give_the_product_copula():
     gens = (ZeroGenerator("rmm_f"), ZeroGenerator("rmm_g"), ZeroGenerator("rmm_g"))
     for u in INTERIOR:
         for v in INTERIOR:
-            assert rmm_n(gens[:2], (u, v), 1) == u * v
-            assert abs(rmm_n(gens, (u, v, 0.3), 1) - u * v * 0.3) < 1e-15
+            assert GeneratorVector("rmm", gens[:2], 1)((u, v)) == u * v
+            assert abs(GeneratorVector("rmm", gens, 1)((u, v, 0.3)) - u * v * 0.3) < 1e-15
 
 
 class _Hat(Generator):
@@ -169,7 +162,7 @@ def test_identity_chi_gives_the_product_in_the_maxmin_family():
     for u in INTERIOR:
         for v in INTERIOR:
             # min{u(1-v), 0} = 0, so only the product term survives
-            assert maxmin_n(gens, (u, v), 1) == u * v
+            assert GeneratorVector("maxmin", gens, 1)((u, v)) == u * v
 
 
 # -- copula axioms spot-checked on the closed forms ------------------------------
@@ -229,7 +222,7 @@ def test_marshall_n_matches_the_ratio_form():
     phi, _ = exp_dirac_gens()
     gens = (phi, IdentityGenerator("psi"), UnitGenerator("phi"))
     for point in itertools.product(INTERIOR, repeat=3):
-        direct = marshall_n(gens, point)
+        direct = GeneratorVector("marshall", gens)(point)
         ratio = _marshall_with_divisions(gens, point)
         assert abs(direct - ratio) < 1e-12, point
 
@@ -239,8 +232,8 @@ def test_maxmin_n_reduces_to_the_lower_margin_when_a_min_coordinate_saturates():
     gens = (phi, chi, chi)
     for u in INTERIOR:
         for v in INTERIOR:
-            full = maxmin_n(gens, (u, v, 1.0), 1)
-            margin = maxmin_n(gens[:2], (u, v), 1)
+            full = GeneratorVector("maxmin", gens, 1)((u, v, 1.0))
+            margin = GeneratorVector("maxmin", gens[:2], 1)((u, v))
             assert abs(full - margin) < 1e-14, (u, v)
 
 
@@ -251,9 +244,9 @@ def test_maxmin_n_partition_sizes_agree_with_merged_blocks():
     chi = IdentityGenerator("chi")
     for u in INTERIOR:
         v = 0.55
-        one_min = maxmin_n((phi, phi, chi), (u, v, 1.0), 2)
-        two_min = maxmin_n((phi, chi, chi), (u, 1.0, 1.0), 1)
-        assert abs(one_min - marshall_n((phi, phi), (u, v))) < 1e-14
+        one_min = GeneratorVector("maxmin", (phi, phi, chi), 2)((u, v, 1.0))
+        two_min = GeneratorVector("maxmin", (phi, chi, chi), 1)((u, 1.0, 1.0))
+        assert abs(one_min - GeneratorVector("marshall", (phi, phi))((u, v))) < 1e-14
         assert abs(two_min - u) < 1e-14
 
 
@@ -261,10 +254,11 @@ def test_rmm_n_consumes_precomputed_generator_values():
     phi, chi = exp_dirac_gens()
     f, g = to_rmm(phi), to_rmm(chi)
     gens = (f, f, g)
+    gv = GeneratorVector("rmm", gens, 2)
     for point in itertools.product(INTERIOR, repeat=3):
         fvals = [gen(ui) for gen, ui in zip(gens, point)]
-        assert rmm_n(gens, point, 2) == rmm_values(point, fvals, 2)
-        assert type(rmm_n(gens, point, 2)) is float
+        assert gv(point) == rmm_values(point, fvals, 2)
+        assert type(gv(point)) is float
 
 
 def test_rmm_from_values_validates_shapes():
@@ -313,12 +307,24 @@ def test_generator_vector_validation():
 
 
 def test_generator_vector_dispatch():
+    # a call is the float that ``values`` gives on a stack of one
     phi, chi = exp_dirac_gens()
     f, g = to_rmm(phi), to_rmm(chi)
-    point = (0.3, 0.8)
-    assert GeneratorVector("marshall", (phi, phi))(point) == marshall_n((phi, phi), point)
-    assert GeneratorVector("maxmin", (phi, chi), p=1)(point) == maxmin_n((phi, chi), point, 1)
-    assert GeneratorVector("rmm", (f, g), p=1)(point) == rmm_n((f, g), point, 1)
+    rng = philox_stream(31, 0)
+    for n in (2, 3, 12):
+        vectors = [GeneratorVector("marshall", (phi,) * n),
+                   GeneratorVector("maxmin", (phi,) + (chi,) * (n - 1), p=1),
+                   GeneratorVector("rmm", (f,) * (n - 1) + (g,), p=n - 1)]
+        vectors += [random_generator_vector(rng, family, n) for family in ("marshall", "maxmin", "rmm")]
+        # coordinates at 0, at 1 and inside, alone and mixed
+        points = [rng.uniform(0.0, 1.0, n), np.zeros(n), np.ones(n)]
+        points += [rng.choice([0.0, 1.0, float(rng.uniform())], n) for _ in range(3)]
+        for gv in vectors:
+            for point in points:
+                got = gv(point.tolist())
+                assert type(got) is float
+                (want,) = gv.values(np.array(point, dtype=float)[:, None]).tolist()
+                assert got.hex() == want.hex(), (gv.family, n, point)
     assert GeneratorVector("marshall", (phi, phi, phi)).split == 3
     assert GeneratorVector("maxmin", (phi, chi, chi), p=1).split == 1
 
@@ -342,29 +348,36 @@ def _enumerate_joint(components, shock, event):
     return total
 
 
+def _stack(points):
+    """Points as one stack: n coordinate arrays of one entry per point."""
+    return np.array(points, dtype=float).T
+
+
 def test_joint_marshall_matches_enumeration():
     comps = (X1, X2, X3)
-    assert joint_marshall_H(comps, SHOCK, (3.0, 2.5, 4.0)) == 0.125
-    for x in itertools.product(LATTICE, repeat=3):
+    assert joint_marshall_values(comps, SHOCK, _stack([(3.0, 2.5, 4.0)])).tolist() == [0.125]
+    points = list(itertools.product(LATTICE, repeat=3))
+    for x, got in zip(points, joint_marshall_values(comps, SHOCK, _stack(points)).tolist()):
         want = _enumerate_joint(
             comps, SHOCK, lambda xs, z: all(max(xi, z) <= t for xi, t in zip(xs, x))
         )
-        assert abs(joint_marshall_H(comps, SHOCK, x) - want) < 1e-12, x
+        assert abs(got - want) < 1e-12, x
 
 
 def test_joint_maxmin_matches_enumeration():
     comps = (X1, X2, X3)
-    assert joint_maxmin_H(comps, SHOCK, (3.0, 2.5, 4.0), 1) == 0.5
-    assert joint_maxmin_H(comps, SHOCK, (4.5, 2.0, 3.0), 2) == 0.25
+    assert joint_maxmin_values(comps, SHOCK, _stack([(3.0, 2.5, 4.0)]), 1).tolist() == [0.5]
+    assert joint_maxmin_values(comps, SHOCK, _stack([(4.5, 2.0, 3.0)]), 2).tolist() == [0.25]
+    points = list(itertools.product(LATTICE, repeat=3))
     for p in (1, 2):
-        for x in itertools.product(LATTICE, repeat=3):
+        for x, got in zip(points, joint_maxmin_values(comps, SHOCK, _stack(points), p).tolist()):
             want = _enumerate_joint(
                 comps,
                 SHOCK,
                 lambda xs, z: all(max(xs[i], z) <= x[i] for i in range(p))
                 and all(min(xs[j], z) <= x[j] for j in range(p, 3)),
             )
-            assert abs(joint_maxmin_H(comps, SHOCK, x, p) - want) < 1e-12, (p, x)
+            assert abs(got - want) < 1e-12, (p, x)
 
 
 class _CountingShock:
@@ -391,7 +404,7 @@ def test_joint_maxmin_asks_the_shock_once_per_distinct_argument(n, data):
     asked = set()
     for x in points:
         counted = _CountingShock(shock)
-        got = joint_maxmin_H(comps, counted, x, p)
+        (got,) = joint_maxmin_values(comps, counted, np.array(x, dtype=float)[:, None], p).tolist()
         assert got.hex() == kernel_reference.joint_maxmin_H(comps, shock, x, p).hex()
         assert len(set(counted.args)) == len(counted.args)
         # min_T x and the min-type x_j, negative ones included
@@ -416,14 +429,14 @@ def test_joint_maxmin_at_negative_min_type_coordinates_equals_the_oracle():
     comps = (Discrete([(1.0, 0.5), (2.0, 0.5)]), Discrete([(-2.0, 0.5), (3.0, 0.5)]))
     shock = Discrete([(0.0, 1.0)])
     oracle = _oracle("maxmin", comps, shock, 1)
-    assert joint_maxmin_H(comps, shock, (2.0, -1.0), 1) == 0.5
-    assert joint_maxmin_H(comps, shock, (1.5, -1.0), 1) == 0.25
     points = [(2.0, -1.0), (1.5, -1.0), (2.0, -2.0), (0.5, -3.0), (3.0, -0.5), (1.0, 0.0),
               (2.0, 3.0), (-1.0, -1.0)]
-    for x in points:
+    got = joint_maxmin_values(comps, shock, _stack(points), 1).tolist()
+    assert got[:2] == [0.5, 0.25]
+    for x, value in zip(points, got):
         want = oracle.exact_joint(x)
         assert oracle.exact_joint_bruteforce(x) == want, x
-        assert joint_maxmin_H(comps, shock, x, 1) == want, x
+        assert value == want, x
         assert kernel_reference.joint_maxmin_H(comps, shock, x, 1) == want, x
     stacked = joint_maxmin_values(comps, shock, np.array(points).T, 1)
     assert stacked.tolist() == [oracle.exact_joint(x) for x in points]
@@ -464,20 +477,22 @@ def test_joint_maxmin_equals_the_oracle_on_signed_supports(case):
 
 def test_joint_rmm_product_matches_enumeration():
     comps = (X1, X2, X3)
-    assert joint_rmm_product(comps, SHOCK, (3.0, 1.5, 0.5), 1) == 0.5
+    assert joint_rmm_values(comps, SHOCK, _stack([(3.0, 1.5, 0.5)]), 1).tolist() == [0.5]
+    points = list(itertools.product(LATTICE, repeat=3))
     for p in (1, 2):
-        for x in itertools.product(LATTICE, repeat=3):
+        for x, got in zip(points, joint_rmm_values(comps, SHOCK, _stack(points), p).tolist()):
             want = _enumerate_joint(
                 comps,
                 SHOCK,
                 lambda xs, z: all(max(xs[i], z) <= x[i] for i in range(p))
                 and all(min(xs[j], z) > x[j] for j in range(p, 3)),
             )
-            assert abs(joint_rmm_product(comps, SHOCK, x, p) - want) < 1e-12, (p, x)
+            assert abs(got - want) < 1e-12, (p, x)
 
 
 def test_joint_rmm_Hsigma_composes_back_to_the_product():
     comps = (X1, X2, X3)
+    points = list(itertools.product(LATTICE, repeat=3))
     for p in (1, 2):
         gens = GeneratorVector(
             "rmm",
@@ -485,10 +500,10 @@ def test_joint_rmm_Hsigma_composes_back_to_the_product():
             + tuple(to_rmm(extend_chi(comps[j], SHOCK)) for j in range(p, 3)),
             p=p,
         )
-        for x in itertools.product(LATTICE, repeat=3):
-            composed = joint_rmm_Hsigma(gens, comps, SHOCK, x)
-            direct = joint_rmm_product(comps, SHOCK, x, p)
-            assert abs(composed - direct) < 1e-12, (p, x)
+        composed = joint_rmm_Hsigma_values(gens, comps, SHOCK, _stack(points)).tolist()
+        direct = joint_rmm_values(comps, SHOCK, _stack(points), p).tolist()
+        for x, c, d in zip(points, composed, direct):
+            assert abs(c - d) < 1e-12, (p, x)
 
 
 def test_reflection_identity_links_the_two_mixed_laws():
@@ -498,35 +513,37 @@ def test_reflection_identity_links_the_two_mixed_laws():
         ((Exponential(1.0), Exponential(1.0)), DiracStep(1.0)),
         ((X1, X2), SHOCK),
     ]
+    points = list(itertools.product(LATTICE, repeat=2))
     for comps, shock in models:
         fu = lifetime_max(comps[0], shock)
-        for x in LATTICE:
-            for y in LATTICE:
-                lhs = joint_maxmin_H(comps, shock, (x, y), 1)
-                rhs = fu.value(x) - joint_rmm_product(comps, shock, (x, y), 1)
-                assert abs(lhs - rhs) < 1e-12, (x, y)
+        lhs = joint_maxmin_values(comps, shock, _stack(points), 1).tolist()
+        tail = joint_rmm_values(comps, shock, _stack(points), 1).tolist()
+        for (x, y), l, t in zip(points, lhs, tail):
+            rhs = fu.value(x) - t
+            assert abs(l - rhs) < 1e-12, (x, y)
 
 
 def test_joint_laws_validate_coordinate_counts():
     comps = (X1, X2)
     with pytest.raises(ValueError):
-        joint_marshall_H(comps, SHOCK, (1.0,))
+        joint_marshall_values(comps, SHOCK, _stack([(1.0,)]))
     with pytest.raises(ValueError):
-        joint_maxmin_H(comps, SHOCK, (1.0, 2.0), 2)
+        joint_maxmin_values(comps, SHOCK, _stack([(1.0, 2.0)]), 2)
     with pytest.raises(ValueError):
-        joint_rmm_product(comps, SHOCK, (1.0, 2.0, 3.0), 1)
+        joint_rmm_values(comps, SHOCK, _stack([(1.0, 2.0, 3.0)]), 1)
     with pytest.raises(ValueError, match="partition"):
         joint_rmm_values(comps, SHOCK, ([1.0], [2.0]), 0)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        joint_maxmin_H((X1,) * (MAX_DIMENSION + 1), SHOCK, (1.0,) * (MAX_DIMENSION + 1), 1)
+        joint_maxmin_values((X1,) * (MAX_DIMENSION + 1), SHOCK,
+                            _stack([(1.0,) * (MAX_DIMENSION + 1)]), 1)
     with pytest.raises(ValueError):
         joint_marshall_values(comps, SHOCK, np.ones((3, 4)))
     gens = GeneratorVector("rmm", (TruncatedLinear(0.5), TruncatedLinear(0.5, kind="rmm_g")), p=1)
     with pytest.raises(ValueError):
-        joint_rmm_Hsigma(gens, comps, SHOCK, (1.0, 2.0, 3.0))
+        joint_rmm_Hsigma_values(gens, comps, SHOCK, _stack([(1.0, 2.0, 3.0)]))
     with pytest.raises(ValueError, match="rmm generator vector"):
-        joint_rmm_Hsigma(GeneratorVector("marshall", (UnitGenerator("phi"),) * 2), comps, SHOCK,
-                         (1.0, 2.0))
+        joint_rmm_Hsigma_values(GeneratorVector("marshall", (UnitGenerator("phi"),) * 2), comps,
+                                SHOCK, _stack([(1.0, 2.0)]))
 
 
 # coordinates on the lattice and on support points (of the discrete laws,
@@ -544,7 +561,7 @@ _JOINT_DISTRIBUTIONS = (
 
 
 def _joint_forms(n, p, data):
-    """(array form, one-point form, scalar reference) of each joint law, for drawn laws."""
+    """(array form, scalar reference) of each joint law, for drawn laws."""
     comps = data.draw(st.lists(st.sampled_from(_JOINT_DISTRIBUTIONS), min_size=n, max_size=n))
     shock = data.draw(st.sampled_from(_JOINT_DISTRIBUTIONS))
     gens = GeneratorVector("rmm", tuple(
@@ -552,16 +569,12 @@ def _joint_forms(n, p, data):
                         kind="rmm_f" if k < p else "rmm_g") for k in range(n)), p)
     return [
         (lambda xs: joint_marshall_values(comps, shock, xs),
-         lambda x: joint_marshall_H(comps, shock, x),
          lambda x: kernel_reference.joint_marshall_H(comps, shock, x)),
         (lambda xs: joint_maxmin_values(comps, shock, xs, p),
-         lambda x: joint_maxmin_H(comps, shock, x, p),
          lambda x: kernel_reference.joint_maxmin_H(comps, shock, x, p)),
         (lambda xs: joint_rmm_values(comps, shock, xs, p),
-         lambda x: joint_rmm_product(comps, shock, x, p),
          lambda x: kernel_reference.joint_rmm_product(comps, shock, x, p)),
         (lambda xs: joint_rmm_Hsigma_values(gens, comps, shock, xs),
-         lambda x: joint_rmm_Hsigma(gens, comps, shock, x),
          lambda x: kernel_reference.joint_rmm_Hsigma(gens, comps, shock, x)),
     ]
 
@@ -580,12 +593,13 @@ def test_joint_law_values_equal_the_scalar_reference_bit_for_bit(n, data):
     points += [sorted(x, reverse=True) for x in points]
     axes = [data.draw(st.lists(_JOINT_COORDINATE, min_size=1, max_size=3 if n <= 3 else 2))
             for _ in range(n)]
-    for values, one_point, reference in _joint_forms(n, p, data):
+    for values, reference in _joint_forms(n, p, data):
         want = [reference(x).hex() for x in points]
         stacked = values(np.array(points).T)
         assert stacked.shape == (len(points),)
         assert [v.hex() for v in stacked.tolist()] == want
-        got = [one_point(x) for x in points]
+        # each point alone, as a stack of one
+        got = [values(np.array(x, dtype=float)[:, None]).item() for x in points]
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == want
         grid = values(_grid_arrays(axes))
@@ -637,7 +651,7 @@ def test_rmm_n_respects_copula_bounds(c1, c2, u):
         TruncatedLinear(c2, kind="rmm_g"),
         TruncatedLinear(0.5, scale=0.5, kind="rmm_g"),
     )
-    value = rmm_n(gens, u, 1)
+    value = GeneratorVector("rmm", gens, 1)(u)
     assert max(0.0, sum(u) - 2.0) - 1e-12 <= value <= min(u) + 1e-12
 
 
@@ -646,7 +660,7 @@ def test_rmm_n_respects_copula_bounds(c1, c2, u):
 def test_maxmin_n_respects_copula_bounds(u):
     phi, chi = exp_dirac_gens()
     gens = (phi, phi, chi, chi)
-    value = maxmin_n(gens, u, 2)
+    value = GeneratorVector("maxmin", gens, 2)(u)
     assert max(0.0, sum(u) - 3.0) - 1e-12 <= value <= min(u) + 1e-12
 
 
@@ -654,7 +668,7 @@ def test_maxmin_n_respects_copula_bounds(u):
 @settings(max_examples=60)
 def test_marshall_n_is_exchangeable_with_equal_generators(u):
     phi, _ = exp_dirac_gens()
-    gens = (phi, phi, phi)
-    base = marshall_n(gens, u)
+    gv = GeneratorVector("marshall", (phi, phi, phi))
+    base = gv(u)
     for perm in itertools.permutations(u):
-        assert marshall_n(gens, perm) == pytest.approx(base, abs=1e-14)
+        assert gv(perm) == pytest.approx(base, abs=1e-14)

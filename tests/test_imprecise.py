@@ -15,10 +15,9 @@ import kernel_reference
 from shockcopula import copulas, imprecise, verify
 from shockcopula.copulas import (
     GeneratorVector,
-    joint_marshall_H,
-    joint_maxmin_H,
-    joint_rmm_product,
-    rmm_n,
+    joint_marshall_values,
+    joint_maxmin_values,
+    joint_rmm_values,
 )
 from shockcopula.distfn import (
     DiracStep,
@@ -35,8 +34,7 @@ from shockcopula.imprecise import (
     PBox,
     ShockModel,
     build_bounds,
-    maxmin_bivariate_mixed_bounds,
-    rmm_bivariate_copula_bounds,
+    maxmin_mixed_vectors,
     rmm_envelope,
     rmm_envelope_full_scan,
     rmm_envelope_full_scan_values,
@@ -226,11 +224,12 @@ def test_rate_box_copula_order_reverses_the_generator_order():
     for u in UGRID:
         for v in UGRID:
             c_hi_gens, c_lo_gens = (
-                rmm_n(bf.upper_gen.generators, (u, v), 1),
-                rmm_n(bf.lower_gen.generators, (u, v), 1),
+                GeneratorVector("rmm", bf.upper_gen.generators, 1)((u, v)),
+                GeneratorVector("rmm", bf.lower_gen.generators, 1)((u, v)),
             )
             assert c_lo_gens >= c_hi_gens - 1e-15, (u, v)
-            assert rmm_bivariate_copula_bounds(bf, (u, v)) == (c_hi_gens, c_lo_gens)
+            # the bivariate bound pair is (upper_gen, lower_gen), in that order
+            assert tuple(gv((u, v)) for gv in (bf.upper_gen, bf.lower_gen)) == (c_hi_gens, c_lo_gens)
             if c_lo_gens > c_hi_gens + 1e-6:
                 strict += 1
     assert strict > 0
@@ -302,12 +301,22 @@ def test_degenerate_boxes_collapse_every_bound():
             lo, hi = rmm_envelope(bf, (u, v))
             assert lo == hi
     points = list(itertools.product(XGRID, repeat=2))
-    for x, (lo, hi) in zip(points, H_bounds_at(bf, points)):
+    exact = joint_rmm_values((DLOW, DHIGH), DSHOCK, np.array(points).T, 1).tolist()
+    for x, (lo, hi), want in zip(points, H_bounds_at(bf, points), exact):
         assert lo == hi
-        assert abs(lo - joint_rmm_product((DLOW, DHIGH), DSHOCK, x, 1)) < 1e-12
+        assert abs(lo - want) < 1e-12, x
 
 
 # -- bound surfaces ----------------------------------------------------------------
+
+
+def test_H_bounds_take_exactly_one_coordinate_array_per_component():
+    x = np.array([0.5, 1.5])
+    for family in ("marshall", "maxmin", "rmm"):
+        bf = build_bounds(rate_box_model(family, n=3))
+        for count in (2, 4):
+            with pytest.raises(ValueError, match=f"expected 3 coordinate arrays, got {count}"):
+                H_bounds_values(bf, [x] * count)
 
 
 def test_rmm_H_bounds_match_the_rate_box_closed_form():
@@ -329,8 +338,8 @@ def test_rmm_H_bounds_sandwich_member_models():
     for thetas in ((0.0, 0.0), (1.0, 1.0), (0.3, 0.8)):
         member = model.member_model(thetas)
         comps = member.precise_marginals()
-        for x, (lo, hi) in zip(points, bounds):
-            exact = joint_rmm_product(comps, member.exogenous, x, 1)
+        exacts = joint_rmm_values(comps, member.exogenous, np.array(points).T, 1).tolist()
+        for x, (lo, hi), exact in zip(points, bounds, exacts):
             assert lo - 1e-12 <= exact <= hi + 1e-12, (thetas, x)
 
 
@@ -341,8 +350,8 @@ def test_marshall_H_bounds_sandwich_member_models():
     bounds = H_bounds_at(build_bounds(model), points)
     for thetas in ((0.0, 1.0), (0.5, 0.5), (1.0, 0.0)):
         comps = model.member_model(thetas).precise_marginals()
-        for x, (lo, hi) in zip(points, bounds):
-            exact = joint_marshall_H(comps, DSHOCK, x)
+        exacts = joint_marshall_values(comps, DSHOCK, np.array(points).T).tolist()
+        for x, (lo, hi), exact in zip(points, bounds, exacts):
             assert lo - 1e-12 <= exact <= hi + 1e-12, (thetas, x)
 
 
@@ -353,8 +362,8 @@ def test_maxmin_H_bounds_sandwich_member_models():
     bounds = H_bounds_at(build_bounds(model), points)
     for thetas in ((0.0, 0.5, 1.0), (1.0, 1.0, 1.0), (0.25, 0.75, 0.5)):
         comps = model.member_model(thetas).precise_marginals()
-        for x, (lo, hi) in zip(points, bounds):
-            exact = joint_maxmin_H(comps, DSHOCK, x, 2)
+        exacts = joint_maxmin_values(comps, DSHOCK, np.array(points).T, 2).tolist()
+        for x, (lo, hi), exact in zip(points, bounds, exacts):
             assert lo - 1e-12 <= exact <= hi + 1e-12, (thetas, x)
 
 
@@ -366,7 +375,7 @@ def test_maxmin_mixed_bounds_sandwich_member_copulas():
                for t in (0.0, 0.5, 1.0) for s in (0.0, 0.5, 1.0)]
     for u in UGRID:
         for v in UGRID:
-            lo, hi = maxmin_bivariate_mixed_bounds(bf, (u, v))
+            lo, hi = (gv((u, v)) for gv in maxmin_mixed_vectors(bf))
             assert lo <= hi + 1e-15
             for gv in members:
                 c = gv((u, v))
@@ -389,7 +398,7 @@ def test_bound_surfaces_require_the_right_family():
     model = rate_box_model()
     bf = build_bounds(model)
     with pytest.raises(ValueError):
-        maxmin_bivariate_mixed_bounds(bf, (0.5, 0.5))
+        maxmin_mixed_vectors(bf)
     marshall_bf = build_bounds(ShockModel("marshall", model.endogenous, model.exogenous))
     with pytest.raises(ValueError):
         rmm_envelope(marshall_bf, (0.5, 0.5))
@@ -402,7 +411,7 @@ def test_bivariate_envelope_is_exactly_the_bound_pair():
     bf = build_bounds(rate_box_model())
     for u in UGRID:
         for v in UGRID:
-            assert rmm_envelope(bf, (u, v)) == rmm_bivariate_copula_bounds(bf, (u, v))
+            assert rmm_envelope(bf, (u, v)) == (bf.upper_gen((u, v)), bf.lower_gen((u, v)))
 
 
 def test_reduced_inf_scan_matches_the_full_scan():

@@ -26,8 +26,8 @@ from shockcopula.imprecise import (
     H_bounds_values,
     _envelope_of_tables,
     _full_scan_of_tables,
-    _maxmin_mixed_vectors,
     _vertex_tables,
+    maxmin_mixed_vectors,
 )
 from shockcopula.verify import (
     _columns,
@@ -125,7 +125,7 @@ def theorem_checks_maxmin(rng, model, label, bf, members, marginals, points, rep
 
     if n == 2:
         copula_sandwich(reports["bivariate-mixed-sandwich"], label, _unit_points(rng, points, 2),
-                        *_maxmin_mixed_vectors(bf), members, 1e-10)
+                        *maxmin_mixed_vectors(bf), members, 1e-10)
 
 
 def theorem_checks_rmm(rng, model, label, bf, members, marginals, points, reports):
