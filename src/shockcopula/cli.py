@@ -161,6 +161,13 @@ def _write_columns(stream, header: str, rows) -> None:
     stream.write("".join([template % tuple(map(float, row)) for row in rows]))
 
 
+def _out_in_a_directory(ctx, param, out: str | None) -> str | None:
+    """Reject an ``--out`` file whose directory does not exist, before any work."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise click.BadParameter(f"directory {str(Path(out).parent)!r} does not exist")
+    return out
+
+
 @click.group()
 @click.version_option(package_name="shockcopula")
 def main() -> None:
@@ -185,7 +192,7 @@ def main() -> None:
                    "is not a guaranteed upper bound over interior members of "
                    "the box for n >= 3).")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True),
-              help="CSV destination (stdout when omitted).")
+              callback=_out_in_a_directory, help="CSV destination (stdout when omitted).")
 def surface(config: str, family: str | None, grid: int, bound: str, out: str | None) -> None:
     """Evaluate one bound surface of the model's copula on a unit grid."""
     try:
@@ -225,13 +232,19 @@ def surface(config: str, family: str | None, grid: int, bound: str, out: str | N
         click.echo(f"wrote {out} ({rows} rows, bound={bound}, family={model.family})")
 
 
-def _rmm_generator_form(threshold: float, u: float) -> float:
+def _rmm_generator_form(threshold: float, u: np.ndarray) -> np.ndarray:
     # closed form on (0, 1]; the value at 0 is pinned to 0 separately
-    return 0.0 if u == 0.0 else max(threshold - u, 0.0)
+    return np.where(u == 0.0, 0.0, np.maximum(threshold - u, 0.0))
+
+
+def _points(*axes: np.ndarray) -> np.ndarray:
+    """Every point of the axis grid, one row each, in row-major order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _example_identities(errors: list[dict]) -> dict:
-    """Check the exponential reference model; returns a writer per fixture file."""
+    """Check the exponential reference model, each generator and law evaluated
+    once per point by ``values``; returns a writer per fixture file."""
     a = 1.0 - math.exp(-1.0)   # P(shock beats an exponential by time 1)
     b = math.exp(-1.0)
 
@@ -242,95 +255,72 @@ def _example_identities(errors: list[dict]) -> dict:
     fw = lifetime_min(fy, fz)
     phi = extend_phi(fx, fz)
     chi = extend_chi(fy, fz)
-    f = to_rmm(phi)
-    g = to_rmm(chi)
+    f, g = to_rmm(phi), to_rmm(chi)
 
-    def check(name: str, tol: float, witnesses) -> None:
-        worst = max(witnesses, key=lambda w: w[1], default=None)
-        if worst is not None and worst[1] > tol:
-            errors.append({"identity": name, "max_error": worst[1],
-                           "tolerance": tol, "witness": worst[0]})
+    def check(name: str, tol: float, points: np.ndarray, errs) -> None:
+        # the first point of largest error fails above tol; a nan is the largest
+        errs = np.ravel(errs)
+        worst = int(np.argmax(errs))
+        if not errs[worst] <= tol:
+            errors.append({"identity": name, "max_error": float(errs[worst]),
+                           "tolerance": tol, "witness": points[worst].tolist()})
 
     us = np.linspace(0.0, 1.0, 1000)
-    check("phi-closed-form", 1e-12,
-          [([float(u)], abs(phi(float(u)) - (0.0 if u == 0.0 else max(float(u), a))))
-           for u in us])
-    check("chi-closed-form", 1e-12,
-          [([float(v)], abs(chi(float(v)) - (1.0 if v == 1.0 else min(float(v), a))))
-           for v in us])
-    check("f-closed-form", 1e-12,
-          [([float(u)], abs(f(float(u)) - _rmm_generator_form(a, float(u)))) for u in us])
-    check("g-closed-form", 1e-12,
-          [([float(w)], abs(g(float(w)) - _rmm_generator_form(b, float(w)))) for w in us])
-    check("f-star-vanishes-at-1", 1e-12, [([1.0], abs(f.star(1.0)))])
+    phi_u, chi_u, f_u, g_u = (gen.values(us) for gen in (phi, chi, f, g))
+    check("phi-closed-form", 1e-12, us[:, None],
+          np.abs(phi_u - np.where(us == 0.0, 0.0, np.maximum(us, a))))
+    check("chi-closed-form", 1e-12, us[:, None],
+          np.abs(chi_u - np.where(us == 1.0, 1.0, np.minimum(us, a))))
+    check("f-closed-form", 1e-12, us[:, None], np.abs(f_u - _rmm_generator_form(a, us)))
+    check("g-closed-form", 1e-12, us[:, None], np.abs(g_u - _rmm_generator_form(b, us)))
+    check("f-star-vanishes-at-1", 1e-12, np.array([[1.0]]), abs(f.star(1.0)))
 
     xs = np.linspace(0.0, 3.0, 301)
-    check("max-lifetime-closed-form", 1e-12,
-          [([float(x)], abs(fu.value(float(x)) -
-                            (fx.value(float(x)) if x >= 1.0 else 0.0))) for x in xs])
-    check("min-lifetime-closed-form", 1e-12,
-          [([float(y)], abs(fw.value(float(y)) -
-                            (1.0 if y >= 1.0 else fy.value(float(y))))) for y in xs])
+    fx_x, fy_x, fz_x, fu_x, fw_x = (d.values(xs) for d in (fx, fy, fz, fu, fw))
+    check("max-lifetime-closed-form", 1e-12, xs[:, None],
+          np.abs(fu_x - np.where(xs >= 1.0, fx_x, 0.0)))
+    check("min-lifetime-closed-form", 1e-12, xs[:, None],
+          np.abs(fw_x - np.where(xs >= 1.0, 1.0, fy_x)))
 
-    def on_grid(axis: np.ndarray, errors: np.ndarray) -> list:
-        """Witnesses ([u, w], error) at every point of the axis grid, row-major."""
-        return [([u, w], e) for (u, w), e in
-                zip(itertools.product(axis.tolist(), repeat=2), errors.ravel().tolist())]
-
-    def three_case(u: float, w: float) -> float:
-        return u * w if (u >= a or w >= b) else max(0.0, b * u + a * w - a * b)
+    def three_case(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.where((u >= a) | (w >= b), u * w, np.maximum(0.0, b * u + a * w - a * b))
 
     # the fixture surfaces come from the grid kernel; the scalar rmm2 is
     # checked against the closed form on the coarse envelope grid
     grid = np.linspace(0.0, 1.0, 101)
     env_axis = np.linspace(0.0, 1.0, 21)
+    grid_points, env_points = _points(grid, grid), _points(env_axis, env_axis)
     precise_vals = copula_grid(GeneratorVector("rmm", (f, g), 1), [grid, grid])
-    closed = np.array([[three_case(u, w) for w in grid.tolist()] for u in grid.tolist()])
-    check("copula-three-case-form", 1e-12,
-          on_grid(grid, np.abs(precise_vals - closed))
-          + [([u, w], abs(rmm2(f, g, u, w) - three_case(u, w)))
-             for u, w in itertools.product(env_axis.tolist(), repeat=2)])
+    scalar_vals = np.array([rmm2(f, g, u, w) for u, w in env_points.tolist()])
+    check("copula-three-case-form", 1e-12, np.concatenate([grid_points, env_points]),
+          np.concatenate([np.abs(precise_vals - three_case(grid[:, None], grid)).ravel(),
+                          np.abs(scalar_vals - three_case(*env_points.T))]))
 
     # joint tail product: positive only above the diagonal, and the reflection
     # identity ties the three H routes together
-    margins = [fx, fy]
     time_axis = np.linspace(0.0, 3.0, 41)
-    time_grid = _grid_arrays([time_axis, time_axis])
-    tail_checks = []
-    reflect_checks = []
-    for (x_, y_), hs, h in zip(itertools.product(time_axis.tolist(), repeat=2),
-                               joint_rmm_values(margins, fz, time_grid, 1).ravel().tolist(),
-                               joint_maxmin_values(margins, fz, time_grid, 1).ravel().tolist()):
-        want = fx.value(x_) * (1.0 - fy.value(y_)) * max(0.0, fz.value(x_) - fz.value(y_))
-        tail_checks.append(([x_, y_], abs(hs - want)))
-        reflect_checks.append(([x_, y_], abs(fu.value(x_) - hs - h)))
-    check("tail-product-closed-form", 1e-12, tail_checks)
-    check("reflection-identity", 1e-12, reflect_checks)
+    tx, ty = _grid_arrays([time_axis, time_axis])
+    hs = joint_rmm_values([fx, fy], fz, [tx, ty], 1)
+    h = joint_maxmin_values([fx, fy], fz, [tx, ty], 1)
+    want = fx.values(tx) * (1.0 - fy.values(ty)) * np.maximum(0.0, fz.values(tx) - fz.values(ty))
+    time_points = _points(time_axis, time_axis)
+    check("tail-product-closed-form", 1e-12, time_points, np.abs(hs - want))
+    check("reflection-identity", 1e-12, time_points, np.abs(fu.values(tx) - hs - h))
 
     # interval-rate model for the bound fixtures
-    box_model = ShockModel(
-        "rmm",
-        (PBox(Exponential(1.0), Exponential(2.0)), PBox(Exponential(1.0), Exponential(2.0))),
-        fz,
-        1,
-    )
-    bf = build_bounds(box_model)
-    f_lo, g_lo = bf.lower_gen.generators
-    f_hi, g_hi = bf.upper_gen.generators
-    a2 = 1.0 - math.exp(-2.0)
-    b2 = math.exp(-2.0)
-    check("bound-generators-closed-form", 1e-12,
-          [([float(u)],
-            max(abs(f_lo(float(u)) - _rmm_generator_form(a, float(u))),
-                abs(f_hi(float(u)) - _rmm_generator_form(a2, float(u))),
-                abs(g_lo(float(u)) - _rmm_generator_form(b2, float(u))),
-                abs(g_hi(float(u)) - _rmm_generator_form(b, float(u)))))
-           for u in us])
+    box = PBox(Exponential(1.0), Exponential(2.0))
+    bf = build_bounds(ShockModel("rmm", (box, box), fz, 1))
+    (f_lo, g_lo), (f_hi, g_hi) = bf.lower_gen.generators, bf.upper_gen.generators
+    a2, b2 = 1.0 - math.exp(-2.0), math.exp(-2.0)
+    bound_u = [gen.values(us) for gen in (f_lo, f_hi, g_lo, g_hi)]
+    check("bound-generators-closed-form", 1e-12, us[:, None],
+          np.max([np.abs(v - _rmm_generator_form(t, us))
+                  for v, t in zip(bound_u, (a, a2, b2, b))], axis=0))
 
     # the copula with the *lower* generators dominates pointwise
     lower_vals = copula_grid(bf.upper_gen, [grid, grid])
     upper_vals = copula_grid(bf.lower_gen, [grid, grid])
-    check("bound-surfaces-ordered", 1e-12, on_grid(grid, np.maximum(0.0, lower_vals - upper_vals)))
+    check("bound-surfaces-ordered", 1e-12, grid_points, np.maximum(0.0, lower_vals - upper_vals))
     spread = float(np.max(upper_vals - lower_vals))
     if spread <= 1e-3:
         errors.append({"identity": "bound-surfaces-strictly-apart", "max_error": spread,
@@ -339,25 +329,20 @@ def _example_identities(errors: list[dict]) -> dict:
     env_lo, env_hi = rmm_envelope_grid(bf, [env_axis, env_axis])
     bound_lo = copula_grid(bf.upper_gen, [env_axis, env_axis])
     bound_hi = copula_grid(bf.lower_gen, [env_axis, env_axis])
-    check("bivariate-envelope-is-bound-pair", 1e-12,
-          on_grid(env_axis, np.maximum(np.abs(env_lo - bound_lo), np.abs(env_hi - bound_hi))))
+    check("bivariate-envelope-is-bound-pair", 1e-12, env_points,
+          np.maximum(np.abs(env_lo - bound_lo), np.abs(env_hi - bound_hi)))
 
-    def columns(header: str, rows):
-        return lambda fh: _write_columns(fh, header, rows)
+    def columns(header: str, *arrays: np.ndarray):
+        return lambda fh: _write_columns(fh, header, np.column_stack(arrays))
 
     def surface(values: np.ndarray):
         return lambda fh: write_surface_csv(fh, [grid, grid], values)
 
     return {
-        "distributions.csv": columns("x,F_X,F_Y,F_Z,F_U,F_W",
-                                     [[x, fx.value(x), fy.value(x), fz.value(x),
-                                       fu.value(x), fw.value(x)] for x in xs.tolist()]),
-        "generators.csv": columns("u,phi,chi,f,g",
-                                  [[u, phi(u), chi(u), f(u), g(u)] for u in us.tolist()]),
+        "distributions.csv": columns("x,F_X,F_Y,F_Z,F_U,F_W", xs, fx_x, fy_x, fz_x, fu_x, fw_x),
+        "generators.csv": columns("u,phi,chi,f,g", us, phi_u, chi_u, f_u, g_u),
         "copula_precise.csv": surface(precise_vals),
-        "bound_generators.csv": columns("u,f_lower,f_upper,g_lower,g_upper",
-                                        [[u, f_lo(u), f_hi(u), g_lo(u), g_hi(u)]
-                                         for u in us.tolist()]),
+        "bound_generators.csv": columns("u,f_lower,f_upper,g_lower,g_upper", us, *bound_u),
         "figure1_lower.csv": surface(lower_vals),
         "figure1_upper.csv": surface(upper_vals),
     }
@@ -388,6 +373,7 @@ def example(out: str) -> None:
 @click.option("--suite", default="all", show_default=True, type=click.Choice(SUITE_NAMES))
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=click.IntRange(0, 2**64 - 1))
 @click.option("--out", type=click.Path(dir_okay=False, writable=True),
+              callback=_out_in_a_directory,
               help="JSON report destination (stdout summary either way).")
 def verify(suite: str, seed: int, out: str | None) -> None:
     """Run a verification suite; exit nonzero if any check fails."""

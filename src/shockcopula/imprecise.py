@@ -518,22 +518,11 @@ def rmm_envelope_values(
     :meth:`GeneratorVector.values`, sized so the stacked temporaries stay
     small.
     """
-    return _envelope_of_tables(_vertex_tables(bf, us), bf.split)
-
-
-def _vertex_tables(bf: BoundFamily, us: Sequence[np.ndarray]) -> tuple:
-    """The coordinate arrays and the lower and upper rmm generators at every
-    entry, as :func:`copulas._tables` gives them."""
     _require_family(bf, "rmm", "rmm envelope")
-    return _tables(us, bf.lower_gen, bf.upper_gen)
-
-
-def _envelope_of_tables(tables: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rmm_envelope_values` from the :func:`_vertex_tables` of its points."""
-    shape, groups = tables
+    shape, groups = _tables(us, bf.lower_gen, bf.upper_gen)
+    n, p = bf.n, bf.split
     inf_out, sup_out = np.empty(shape), np.empty(shape)
     if isinstance(groups[0], np.ndarray):
-        n = len(groups[0])
         # the stacked pair evaluation holds 2 * pairs * n factors per point
         _by_slabs(lambda *part: _envelope_stack(*part, p), groups, (inf_out, sup_out),
                   2 * p * (n - p) * n)
@@ -569,13 +558,9 @@ def rmm_envelope_full_scan_values(
     :func:`rmm_values` call.  This is the reference the envelope is checked
     against.
     """
-    return _full_scan_of_tables(_vertex_tables(bf, us), bf.split)
-
-
-def _full_scan_of_tables(tables: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rmm_envelope_full_scan_values` from the :func:`_vertex_tables` of its points."""
-    shape, groups = tables
-    n = len(groups[0])
+    _require_family(bf, "rmm", "rmm envelope")
+    shape, groups = _tables(us, bf.lower_gen, bf.upper_gen)
+    n, p = bf.n, bf.split
 
     def scan(us, lo, hi):
         masks = np.arange(1 << n).reshape((-1,) + (1,) * np.ndim(us[0]))

@@ -46,12 +46,11 @@ from .imprecise import (
     PBox,
     ShockModel,
     H_bounds_values,
-    _envelope_of_tables,
-    _full_scan_of_tables,
-    _vertex_tables,
     build_bounds,
     maxmin_mixed_vectors,
+    rmm_envelope_full_scan_values,
     rmm_envelope_grid,
+    rmm_envelope_values,
 )
 
 __all__ = [
@@ -749,10 +748,8 @@ def _theorem_checks_rmm(rng, model, label, bf, members, marginals, points, repor
 
     unit = _unit_points(rng, points, n)
     columns = _columns(unit, n)
-    # one table of the 2n bound generators serves the envelope and the full scan
-    tables = _vertex_tables(bf, columns)
-    inf_env, sup_env = _envelope_of_tables(tables, p)
-    inf_scan, sup_scan = _full_scan_of_tables(tables, p)
+    inf_env, sup_env = rmm_envelope_values(bf, columns)
+    inf_scan, sup_scan = rmm_envelope_full_scan_values(bf, columns)
     _record_flagged(reports["envelope-inf-reduction"], label, np.abs(inf_env - inf_scan) > 1e-12,
                     lambda q: (unit[q], float(inf_scan[q]), float(inf_env[q])))
     sup = reports["envelope-sup-bounded"]
@@ -804,8 +801,8 @@ def suite_theorems(seed: int, instances_per_family: int = 20, points_per_instanc
     coordinate (:meth:`DistributionFn.values`, :meth:`Generator.values`),
     which serve the defining relations, daggers, stars and the rmm marginal
     order; for rmm, each bound generator on the generator-order grid; and
-    the envelope and the full vertex scan from one table of the bound
-    generators (:func:`rmm_envelope_values`,
+    the envelope and the full vertex scan, each of which evaluates the
+    bound generators on the stack (:func:`rmm_envelope_values`,
     :func:`rmm_envelope_full_scan_values`).  Stars and daggers are the
     scalar transforms' single divisions (``gen(u)/u``, ``u/phi(u)``,
     ``(u - chi)/(1 - chi)``); where a dagger is undefined the scalar

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from shockcopula import cli
 from shockcopula.cli import main, write_surface_csv
+from shockcopula.genfn import Generator, to_rmm
 from shockcopula.imprecise import ShockModel, build_bounds, rmm_envelope
 from shockcopula.verify import copula_grid
 from surface_csv import read_surface_csv, reference_surface_csv
@@ -460,6 +462,66 @@ def test_example_checks_identities_and_writes_fixtures(runner, tmp_path):
     assert any(hi[2] - lo[2] > 1e-3 for lo, hi in zip(lower, upper))
 
 
+class _Faulty(Generator):
+    """A generator with a fault: ``base + shift`` on (0, upto), and ``at_zero``
+    at 0 when given; the same float whether called or asked for an array."""
+
+    def __init__(self, base, upto, shift, at_zero=None):
+        self.base, self.kind, self.upto = base, base.kind, upto
+        self.shift, self.at_zero = shift, at_zero
+
+    def __call__(self, u):
+        if u == 0.0 and self.at_zero is not None:
+            return self.at_zero
+        return self.base(u) + (self.shift if 0.0 < u < self.upto else 0.0)
+
+    def values(self, u):
+        u = np.asarray(u, dtype=float)
+        out = self.base.values(u) + np.where((u > 0.0) & (u < self.upto), self.shift, 0.0)
+        return out if self.at_zero is None else np.where(u == 0.0, self.at_zero, out)
+
+
+def _fault_example(monkeypatch, upto, f_shift, g_shift, f_at_zero=None):
+    """Make the example's f and g (not the bound generators) :class:`_Faulty`."""
+    def faulty(gen):
+        if gen.kind == "phi":
+            return _Faulty(to_rmm(gen), upto, f_shift, f_at_zero)
+        return _Faulty(to_rmm(gen), upto, g_shift)
+
+    monkeypatch.setattr(cli, "to_rmm", faulty)
+
+
+def test_example_reports_each_failed_identity_at_its_first_worst_point(runner, tmp_path,
+                                                                        monkeypatch):
+    _fault_example(monkeypatch, 0.7, 1e-6, 3e-7)
+    out = tmp_path / "fixtures"
+    result = runner.invoke(main, ["example", "--out", str(out)])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {"status": "mismatch", "errors": [
+        {"identity": "f-closed-form", "max_error": 1.0000000001110223e-06,
+         "tolerance": 1e-12, "witness": [0.6516516516516516]},
+        {"identity": "g-closed-form", "max_error": 3.0000000006413785e-07,
+         "tolerance": 1e-12, "witness": [0.002002002002002002]},
+        {"identity": "copula-three-case-form", "max_error": 3.615159088286163e-07,
+         "tolerance": 1e-12, "witness": [0.62, 0.01]},
+    ]}
+    assert not out.exists()
+
+
+def test_a_nan_error_fails_its_example_check_and_hides_no_later_one(runner, tmp_path,
+                                                                     monkeypatch):
+    # f is nan at u = 0, every check's first point, and 1e-6 too high on (0, 0.5)
+    _fault_example(monkeypatch, 0.5, 1e-6, 0.0, f_at_zero=math.nan)
+    out = tmp_path / "fixtures"
+    result = runner.invoke(main, ["example", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    errors = json.loads(result.output)["errors"]
+    assert [(e["identity"], e["witness"]) for e in errors] == [
+        ("f-closed-form", [0.0]), ("copula-three-case-form", [0.0, 0.0])]
+    assert all(math.isnan(e["max_error"]) for e in errors)
+    assert not out.exists()
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -528,3 +590,17 @@ def test_verify_passes_both_ends_of_the_seed_range_to_the_suite(runner, monkeypa
         result = runner.invoke(main, ["verify", "--suite", "axioms", "--seed", str(seed)])
         assert result.exit_code == 0, result.output
     assert seeds == [0, 2**64 - 1]
+
+
+@pytest.mark.parametrize("command", ["surface", "verify"])
+def test_an_out_file_in_a_missing_directory_is_rejected_before_any_work(runner, tmp_path,
+                                                                         command):
+    out = tmp_path / "nodir" / "out"
+    if command == "surface":
+        args = ["surface", "--config", write_config(tmp_path, RMM_BOXED_3), "--grid", "3"]
+    else:
+        args = ["verify", "--suite", "axioms", "--seed", "1"]
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "--out" in result.output and "PASS" not in result.output
+    assert not out.parent.exists()

@@ -13,7 +13,7 @@ from shockcopula import verify
 from shockcopula.copulas import GeneratorVector
 from shockcopula.distfn import Convex, DiracStep, Discrete, Exponential
 from shockcopula.genfn import DegenerateModelError, Generator, validate
-from shockcopula.imprecise import PBox, ShockModel, _full_scan_of_tables, build_bounds
+from shockcopula.imprecise import PBox, ShockModel, build_bounds, rmm_envelope_full_scan_values
 from shockcopula.verify import (
     CheckReport,
     DiscreteModelOracle,
@@ -461,13 +461,13 @@ def test_an_undefined_dagger_raises_as_the_reference_raises(monkeypatch, kinds, 
 
 def test_sup_gaps_either_side_of_the_tolerance_are_reported_as_the_reference_reports_them(
         monkeypatch):
-    def widened(tables, p):
-        inf, sup = _full_scan_of_tables(tables, p)
+    def widened(bf, us):
+        inf, sup = rmm_envelope_full_scan_values(bf, us)
         # the first point's gap is within the tolerance, every later one is not
         return inf, sup + np.where(np.arange(sup.size) == 0, 4e-13, 1e-9)
 
-    monkeypatch.setattr(verify, "_full_scan_of_tables", widened)
-    monkeypatch.setattr(theorem_reference, "_full_scan_of_tables", widened)
+    monkeypatch.setattr(verify, "rmm_envelope_full_scan_values", widened)
+    monkeypatch.setattr(theorem_reference, "rmm_envelope_full_scan_values", widened)
     report = _same_report(5, instances_per_family=3, points_per_instance=30)
     checks = {c["check"]: c for c in report["checks"]}
     diagnostics = checks["rmm-envelope-sup-bounded"]["diagnostics"]

@@ -24,10 +24,9 @@ from shockcopula import verify
 from shockcopula.copulas import joint_marshall_values, joint_maxmin_values, joint_rmm_values
 from shockcopula.imprecise import (
     H_bounds_values,
-    _envelope_of_tables,
-    _full_scan_of_tables,
-    _vertex_tables,
     maxmin_mixed_vectors,
+    rmm_envelope_full_scan_values,
+    rmm_envelope_values,
 )
 from shockcopula.verify import (
     _columns,
@@ -190,9 +189,8 @@ def theorem_checks_rmm(rng, model, label, bf, members, marginals, points, report
 
     unit = _unit_points(rng, points, n)
     columns = _columns(unit, n)
-    tables = _vertex_tables(bf, columns)
-    inf_env, sup_env = _envelope_of_tables(tables, p)
-    inf_scan, sup_scan = _full_scan_of_tables(tables, p)
+    inf_env, sup_env = rmm_envelope_values(bf, columns)
+    inf_scan, sup_scan = rmm_envelope_full_scan_values(bf, columns)
     for u, inf_red, sup_red, inf_full, sup_full in zip(
             unit, inf_env.tolist(), sup_env.tolist(), inf_scan.tolist(), sup_scan.tolist()):
         if abs(inf_red - inf_full) > 1e-12:
