@@ -61,6 +61,7 @@ from .imprecise import (
     rmm_envelope_full_scan,
     rmm_envelope_full_scan_values,
     rmm_envelope_grid,
+    rmm_envelope_inf_values,
     rmm_envelope_values,
 )
 from .verify import (
@@ -85,7 +86,7 @@ __all__ = [
     "joint_rmm_Hsigma_values", "joint_rmm_values", "marshall2", "maxmin2", "rmm2",
     "BoundFamily", "PBox", "ShockModel", "build_bounds", "maxmin_mixed_vectors", "rmm_envelope",
     "rmm_envelope_full_scan", "rmm_envelope_full_scan_values", "rmm_envelope_grid",
-    "rmm_envelope_values",
+    "rmm_envelope_inf_values", "rmm_envelope_values",
     "DiscreteModelOracle", "check_copula", "check_quasicopula", "monte_carlo_joint",
     "run_suite",
     "__version__",

@@ -22,10 +22,19 @@ import numpy as np
 from .copulas import GeneratorVector, _grid_arrays, joint_maxmin_values, joint_rmm_values, rmm2
 from .distfn import DiracStep, Exponential, lifetime_max, lifetime_min
 from .genfn import extend_chi, extend_phi, to_rmm
-from .imprecise import PBox, ShockModel, build_bounds, rmm_envelope_grid
+from .imprecise import PBox, ShockModel, build_bounds, rmm_envelope_grid, rmm_envelope_inf_values
 from .verify import SUITE_NAMES, copula_grid, run_suite
 
-BOUND_CHOICES = ("lower", "upper", "precise", "envelope_inf", "envelope_sup")
+# each --bound choice, and the function that evaluates exactly that surface
+# on an axis grid
+_SURFACES = {
+    "lower": lambda bf, axes: copula_grid(bf.lower_gen, axes),
+    "upper": lambda bf, axes: copula_grid(bf.upper_gen, axes),
+    "precise": lambda bf, axes: copula_grid(bf.lower_gen, axes),
+    "envelope_inf": lambda bf, axes: rmm_envelope_inf_values(bf, _grid_arrays(axes)),
+    "envelope_sup": lambda bf, axes: rmm_envelope_grid(bf, axes)[1],
+}
+BOUND_CHOICES = tuple(_SURFACES)
 DEFAULT_SEED = 20250819
 _MAX_GRID_ROWS = 2_000_000
 # rows per write in write_surface_csv, rounded to whole runs of the last axis;
@@ -168,6 +177,27 @@ def _out_in_a_directory(ctx, param, out: str | None) -> str | None:
     return out
 
 
+def _out_below_a_directory(ctx, param, out: str) -> str:
+    """Reject an ``--out`` directory that is, or would lie below, anything but
+    a directory, before any work.
+
+    The nearest of the path and its ancestors that exists, a dangling link
+    included, must be a directory; a path that cannot be looked up (an
+    ancestor without search permission, a link loop) is rejected too.
+    """
+    for path in (Path(out), *Path(out).parents):
+        try:
+            path.lstat()
+            if path.is_dir():
+                return out
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as error:
+            raise click.BadParameter(f"cannot look up {str(path)!r}: {error.strerror}") from None
+        raise click.BadParameter(f"{str(path)!r} is not a directory")
+    return out
+
+
 @click.group()
 @click.version_option(package_name="shockcopula")
 def main() -> None:
@@ -212,15 +242,8 @@ def surface(config: str, family: str | None, grid: int, bound: str, out: str | N
         raise click.UsageError(f"grid^{model.n} = {grid ** model.n} rows; "
                                f"reduce --grid below {int(_MAX_GRID_ROWS ** (1 / model.n)) + 1}")
 
-    bf = build_bounds(model)
-    axis = np.linspace(0.0, 1.0, grid)
-    axes = [axis] * model.n
-    if bound in ("lower", "precise"):
-        values = copula_grid(bf.lower_gen, axes)
-    elif bound == "upper":
-        values = copula_grid(bf.upper_gen, axes)
-    else:
-        values = rmm_envelope_grid(bf, axes)[bound == "envelope_sup"]
+    axes = [np.linspace(0.0, 1.0, grid)] * model.n
+    values = _SURFACES[bound](build_bounds(model), axes)
 
     if out is None:
         stdout = click.get_text_stream("stdout")
@@ -350,7 +373,8 @@ def _example_identities(errors: list[dict]) -> dict:
 
 @main.command()
 @click.option("--out", default="example_fixtures", show_default=True,
-              type=click.Path(file_okay=False), help="Fixture directory.")
+              type=click.Path(file_okay=False), callback=_out_below_a_directory,
+              help="Fixture directory.")
 def example(out: str) -> None:
     """Rebuild the exponential reference model and write its fixtures.
 

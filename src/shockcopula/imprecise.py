@@ -65,6 +65,7 @@ __all__ = [
     "rmm_envelope_full_scan",
     "rmm_envelope_full_scan_values",
     "rmm_envelope_grid",
+    "rmm_envelope_inf_values",
     "rmm_envelope_values",
 ]
 
@@ -529,6 +530,26 @@ def rmm_envelope_values(
     else:
         _by_slabs(lambda *part: _envelope_slab(*part, p), groups, (inf_out, sup_out))
     return inf_out, sup_out
+
+
+def rmm_envelope_inf_values(bf: BoundFamily, us: Sequence[np.ndarray]) -> np.ndarray:
+    """The inf half of :func:`rmm_envelope_values` alone, the same floats.
+
+    Each pair's term is evaluated at its own vertex, upper at i and j and
+    lower elsewhere, and no sup candidate is formed: the generator tables
+    and the pair terms are all the work.
+    """
+    _require_family(bf, "rmm", "rmm envelope")
+    shape, groups = _tables(us, bf.lower_gen, bf.upper_gen)
+    n, p = bf.n, bf.split
+    inf_out = np.empty(shape)
+    if isinstance(groups[0], np.ndarray):
+        # the stacked pair evaluation holds pairs * n factors per point
+        _by_slabs(lambda u, lo, hi: (_rmm_stack(u, lo, p, hi),), groups, (inf_out,),
+                  p * (n - p) * n)
+    else:
+        _by_slabs(lambda us, lo, hi: (_rmm_pair_loop(us, lo, p, hi),), groups, (inf_out,))
+    return inf_out
 
 
 def rmm_envelope(bf: BoundFamily, u: Sequence[float]) -> tuple[float, float]:

@@ -1,10 +1,12 @@
 """Command line interface: surfaces, fixtures, verification wiring."""
 
+import errno
 import io
 import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,10 +15,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockcopula import cli
+from shockcopula import cli, imprecise
 from shockcopula.cli import main, write_surface_csv
 from shockcopula.genfn import Generator, to_rmm
-from shockcopula.imprecise import ShockModel, build_bounds, rmm_envelope
+from shockcopula.imprecise import ShockModel, build_bounds, rmm_envelope, rmm_envelope_inf_values
 from shockcopula.verify import copula_grid
 from surface_csv import read_surface_csv, reference_surface_csv
 
@@ -154,6 +156,22 @@ def test_surface_envelope_matches_the_per_point_loop_byte_for_byte(runner, tmp_p
         values[idx] = rmm_envelope(bf, [float(axis[k]) for k in idx])[bound == "envelope_sup"]
     want = io.StringIO()
     reference_surface_csv(want, [axis] * 3, values)
+    assert out.read_bytes() == want.getvalue().encode()
+
+
+def test_surface_envelope_inf_runs_no_sup_code(runner, tmp_path, monkeypatch):
+    def no_sup(*args):
+        raise AssertionError("envelope_inf formed sup candidates")
+
+    monkeypatch.setattr(imprecise, "_sup_objective", no_sup)
+    out = tmp_path / "surface.csv"
+    result = runner.invoke(main, ["surface", "--config", write_config(tmp_path, RMM_BOXED_3),
+                                  "--grid", "7", "--bound", "envelope_inf", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    bf = build_bounds(ShockModel.from_spec(RMM_BOXED_3))
+    axis = np.linspace(0.0, 1.0, 7)
+    want = io.StringIO()
+    reference_surface_csv(want, [axis] * 3, rmm_envelope_inf_values(bf, np.ix_(axis, axis, axis)))
     assert out.read_bytes() == want.getvalue().encode()
 
 
@@ -590,6 +608,46 @@ def test_verify_passes_both_ends_of_the_seed_range_to_the_suite(runner, monkeypa
         result = runner.invoke(main, ["verify", "--suite", "axioms", "--seed", str(seed)])
         assert result.exit_code == 0, result.output
     assert seeds == [0, 2**64 - 1]
+
+
+@pytest.fixture()
+def no_example_work(monkeypatch):
+    def no_work(errors):
+        raise AssertionError("the identities ran")
+
+    monkeypatch.setattr(cli, "_example_identities", no_work)
+
+
+@pytest.mark.parametrize("below", ["afile", "afile/sub", "afile/sub/fixtures", "link", "link/sub"])
+def test_example_out_below_a_file_or_a_dangling_link_is_rejected_before_any_work(
+        runner, tmp_path, no_example_work, below):
+    (tmp_path / "afile").write_text("kept")
+    (tmp_path / "link").symlink_to(tmp_path / "gone")    # a dangling link
+    result = runner.invoke(main, ["example", "--out", str(tmp_path / below)])
+    assert result.exit_code == 2, result.output
+    assert "--out" in result.output and str(tmp_path / below.split("/")[0]) in result.output
+    assert (tmp_path / "afile").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "link"]
+
+
+def test_example_out_that_cannot_be_looked_up_is_rejected_before_any_work(
+        runner, tmp_path, monkeypatch, no_example_work):
+    # a directory without search permission, as a user other than root sees it
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    stat = os.stat
+
+    def denied(path, *args, **kwargs):
+        if Path(path).parent == locked:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", denied)
+    result = runner.invoke(main, ["example", "--out", str(locked / "sub")])
+    monkeypatch.setattr(os, "stat", stat)
+    assert result.exit_code == 2, result.output
+    assert "--out" in result.output and "Permission denied" in result.output
+    assert list(locked.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["surface", "verify"])

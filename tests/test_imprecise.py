@@ -39,6 +39,7 @@ from shockcopula.imprecise import (
     rmm_envelope_full_scan,
     rmm_envelope_full_scan_values,
     rmm_envelope_grid,
+    rmm_envelope_inf_values,
     rmm_envelope_values,
 )
 from shockcopula.verify import copula_grid, philox_stream, random_pbox_shock_model
@@ -607,6 +608,37 @@ def test_envelope_equals_the_scalar_reference_bit_for_bit(n, data, seed, kind):
         for idx in np.ndindex(*inf.shape):
             w = envelope_reference.envelope(bf, [float(axes[k][i]) for k, i in enumerate(idx)])
             assert np.array_equal(bits([inf[idx], sup[idx]]), bits(w)), (p, idx)
+
+
+def assert_inf_alone_is_the_inf_half(bf, us):
+    assert np.array_equal(bits(rmm_envelope_inf_values(bf, us)), bits(rmm_envelope_values(bf, us)[0]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_envelope_inf_alone_equals_the_inf_half_bit_for_bit(n, data, seed):
+    rng = philox_stream(seed, 6)
+    for p in range(1, n):
+        bf = build_bounds(drawn_model(rng, "discrete", n, p))
+        points = data.draw(unit_stacks(n)) + face_points(n)
+        # a point stack, one point, and a grid with the u = 0 face on every axis
+        assert_inf_alone_is_the_inf_half(bf, np.array(points).T)
+        assert_inf_alone_is_the_inf_half(bf, np.array(points[:1]).T)
+        axes = [np.array(sorted({0.0, *(u[k] for u in points)})[:3 if n <= 4 else 2])
+                for k in range(n)]
+        assert_inf_alone_is_the_inf_half(bf, np.ix_(*axes))
+        with mock.patch.object(copulas, "_SLAB_POINTS", 2):
+            assert_inf_alone_is_the_inf_half(bf, np.array(points).T)
+            assert_inf_alone_is_the_inf_half(bf, np.ix_(*axes))
+
+
+def test_envelope_inf_alone_equals_the_inf_half_on_a_grid_41_surface():
+    rate_box = PBox(Exponential(1.0), Exponential(2.0))
+    model = ShockModel("rmm", (rate_box, rate_box, PBox(Uniform(0.0, 3.0), Uniform(0.0, 2.0))),
+                       DiracStep(1.0), 1)
+    axis = np.linspace(0.0, 1.0, 41)
+    assert_inf_alone_is_the_inf_half(build_bounds(model), np.ix_(axis, axis, axis))
 
 
 # vertex coordinates and generator values, weighted towards 0, 1 and ties
