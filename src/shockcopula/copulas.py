@@ -294,8 +294,8 @@ def _tables(us: Sequence[np.ndarray], *vectors: "GeneratorVector") -> tuple[tupl
     Coordinate arrays that all share one shape are a point stack (one point
     is a stack of one; an ``(n, ...)`` array is one too).  Its groups are the
     row blocks of one ``((1 + len(vectors)) * n, E)`` array, one column per
-    entry, made by a single ``np.array``.  Other arrays (the axes of a grid)
-    are brought to one ndim and each group is a list of per-coordinate arrays.
+    entry, joined by one ``np.concatenate``.  Other arrays (the axes of a
+    grid) are brought to one ndim and each group is a list of arrays.
     An entry outside [0, 1], or nan, raises the ValueError of a one-point call.
     A coordinate of more than one entry is evaluated by one
     :meth:`Generator.values` call per generator, which reads a step-function
@@ -316,11 +316,10 @@ def _tables(us: Sequence[np.ndarray], *vectors: "GeneratorVector") -> tuple[tupl
         if all(u.shape == shape for u in us):
             us = np.array([u.ravel() for u in us])
     _require_unit(us)
-    rows = us.tolist() if isinstance(us, np.ndarray) else [u.ravel().tolist() for u in us]
-    values = [gen.values(u) if len(row) > 1 else [gen(t) for t in row]
-              for gv in vectors for gen, u, row in zip(gv.generators, us, rows)]
+    values = [gen.values(u) if u.size > 1 else [gen(t) for t in u.ravel().tolist()]
+              for gv in vectors for gen, u in zip(gv.generators, us)]
     if isinstance(us, np.ndarray):
-        table = np.array(rows + values)
+        table = np.concatenate((us, values))
         return shape, [table[k:k + n] for k in range(0, len(table), n)]
     values = [np.asarray(v, dtype=float).reshape(u.shape) for v, u in zip(values, us * len(vectors))]
     return shape, [us] + [values[k:k + n] for k in range(0, len(values), n)]

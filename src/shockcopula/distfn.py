@@ -29,7 +29,7 @@ composites are exact as well.
 
 Level crossings (``smallest_preimage`` / ``largest_preimage``) of the
 composites and of PiecewiseLinearWithJumps use a table of one-sided limits
-at the jump points, built once at construction: one bisection of the table
+at the jump points, built on the first search: one bisection of the table
 finds the jump where the crossing happens or the continuous stretch it lies
 in.  Inside a stretch the answer is the float that bisection of the function
 to the float fixpoint returns.  Secant steps and two probes certify a narrow
@@ -47,6 +47,7 @@ from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -76,8 +77,8 @@ POS_INF = float("inf")
 class DistributionFn(ABC):
     """A monotone function R -> [0, 1] with F(-inf) = 0, F(+inf) = 1.
 
-    A subclass that keeps the preimage searches defined here sets
-    ``_limits = _LimitTable.of(self)`` at the end of its construction.
+    The preimage searches read ``_limits``, the jump-limit table, which is
+    built on its first read, so a function that is only evaluated has none.
     """
 
     @abstractmethod
@@ -113,16 +114,20 @@ class DistributionFn(ABC):
 
     # -- level-crossing search -------------------------------------------
 
+    @cached_property
+    def _limits(self) -> "_LimitTable":
+        return _LimitTable.of(self)
+
     def smallest_preimage(self, u: float) -> float:
         """Smallest x0 with F(x0-) <= u <= F(x0+), i.e. inf{x : F(x) >= u}.
 
         Defined for u strictly between 0 and 1.  The first jump whose left
         or right limit reaches u is found by one bisection of the jump-limit
-        table the object builds at construction (``_limits``).  A crossing
-        inside a continuous stretch is the float that bisection of F run to
-        the float fixpoint returns; :func:`_upcrossing` finds that float with
-        fewer evaluations of F, assuming F's rounding stays within
-        ``_MARGIN / 2`` of a monotone function.
+        table ``_limits``.  A crossing inside a continuous stretch is the
+        float that bisection of F run to the float fixpoint returns;
+        :func:`_upcrossing` finds that float with fewer evaluations of F,
+        assuming F's rounding stays within ``_MARGIN / 2`` of a monotone
+        function.
         """
         _require_interior(u)
         t = self._limits
@@ -472,7 +477,7 @@ class Discrete(DistributionFn):
 
     def values(self, x) -> np.ndarray:
         xs, cum = self._table
-        return cum[np.searchsorted(xs, np.asarray(x, dtype=float), side="right")]
+        return cum.take(xs.searchsorted(x, side="right"))
 
     def left_limit(self, x: float) -> float:
         i = bisect_left(self._xs, x)
@@ -508,7 +513,6 @@ class PiecewiseLinearWithJumps(DistributionFn):
 
     breakpoints: tuple[tuple[float, float, float, float], ...]
     _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _limits: _LimitTable = field(init=False, repr=False, compare=False)
 
     def __init__(self, breakpoints) -> None:
         bps = tuple((float(x), float(l), float(p), float(r)) for x, l, p, r in breakpoints)
@@ -531,7 +535,6 @@ class PiecewiseLinearWithJumps(DistributionFn):
             raise ValueError("last right value must be 1 (F(+inf) = 1)")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def _segment_value(self, i: int, x: float) -> float:
         # between breakpoints i and i+1 (both exist)
@@ -591,18 +594,16 @@ class PiecewiseLinearWithJumps(DistributionFn):
 class _Composite(DistributionFn):
     """A pointwise combination of the distributions in the fields ``_parts`` names.
 
-    Construction sorts the parts' jump set once and builds the limit table
-    from it.  The jump set is the union of the parts' jump points; a
-    composite with another rule overrides :meth:`_jump_set`.
+    Construction sorts the parts' jump set once; the limit table is built
+    from it on the first search.  The jump set is the union of the parts'
+    jump points; a composite with another rule overrides :meth:`_jump_set`.
     """
 
     _jumps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _limits: _LimitTable = field(init=False, repr=False, compare=False)
     _parts = ("first", "second")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_jumps", tuple(sorted(self._jump_set())))
-        object.__setattr__(self, "_limits", _LimitTable.of(self))
 
     def _jump_set(self) -> set[float]:
         return {x for name in self._parts for x in getattr(self, name).jump_points()}

@@ -210,14 +210,14 @@ def _step_table(lifetime: DistributionFn,
 
     On a step function the smallest preimage of every u in (0, 1) is the
     jump ``bisect_left(rising, u)`` of the limit table.  The table holds the
-    rows of the jumps as columns, plus a copy of the last one for arguments
-    past the last rising limit.
+    jump rows as columns, a zero scale as nan, then a nan column for the nan
+    and u > 1 that fall past the last rising limit, 1.
     """
     t = lifetime._limits
     if not t.steps:
         return None
-    cols = [rows[x] for x in t.xs]
-    return np.array(t.rising), np.array(cols + cols[-1:]).T
+    cols = [row[:3] + (row[3] or math.nan,) + row[4:] for row in map(rows.get, t.xs)]
+    return np.array(t.rising), np.array(cols + [(math.nan,) * 6]).T
 
 
 # the lifetime of each extended kind, and the shock value and preimage name
@@ -306,21 +306,20 @@ class ExtendedGenerator(Generator):
         On a step-function lifetime every entry reads its jump row, found by
         one ``searchsorted`` on the rising limits, and takes the branch
         ``_value_at`` takes, with the same comparisons and the same single
-        division.  An entry that is nan, or would divide by a zero scale on
-        the middle branch, is handed to the scalar call, which raises.  Any
-        other lifetime calls the generator once per entry.
+        division.  A nan left once the ends get 0 and 1 (a nan entry, or a
+        zero scale stored as nan on the middle branch) goes to the scalar
+        call in C order, which raises.  Other lifetimes call it per entry.
         """
         if self._steps is None:
             return Generator.values(self, u)
         u = np.asarray(u, dtype=float)
         rising, table = self._steps
-        lo, hi, shift, scale, edge_lo, edge_hi = table[:, np.searchsorted(rising, u)]
-        inside = (u > 0.0) & (u < 1.0)
-        middle = inside & (edge_lo <= u) & (u <= edge_hi)
-        out = np.where(inside, np.where(u < edge_lo, lo, hi), np.where(u <= 0.0, 0.0, 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(u - shift, scale, out=out, where=middle)
-        for i in np.flatnonzero(np.isnan(u) | (middle & (scale == 0.0))).tolist():
+        lo, hi, shift, scale, edge_lo, edge_hi = table.take(rising.searchsorted(u), axis=1)
+        out = np.where(u < edge_lo, lo, hi)
+        np.divide(u - shift, scale, out=out, where=(edge_lo <= u) & (u <= edge_hi))
+        out[u <= 0.0] = 0.0
+        out[u >= 1.0] = 1.0
+        for i in np.flatnonzero(np.isnan(out)).tolist():
             out.flat[i] = self(u.flat[i])
         return out
 

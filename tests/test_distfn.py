@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from shockcopula.distfn import (
     _SEARCH_STEPS,
+    _LimitTable,
     Clamp,
     Convex,
     DiracStep,
@@ -537,6 +538,39 @@ def test_switch_values_evaluate_each_part_on_its_own_entries(monkeypatch):
     assert [v.hex() for v in got.tolist()] == [f.value(x).hex() for x in xs]
     assert f.values(np.array([])).shape == (0,)
     assert f.values(np.array([[0.5, 1.0], [math.nan, 3.0]])).shape == (2, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda z: Convex(0.3, z, Exponential(1.0)),
+    lambda z: Clamp(Exponential(1.0), Product(Exponential(1.0), z), z),
+    lambda z: Switch(1.5, Product(Exponential(1.0), z), z),
+    lambda z: PiecewiseLinearWithJumps([(0.0, 0.0, 0.25, 0.5), (1.0, 0.75, 0.75, 1.0)]),
+], ids=["Convex", "Clamp", "Switch", "pwl"])
+def test_the_limit_table_is_built_by_the_first_search(make):
+    f = make(discrete((1.0, 0.5), (2.0, 0.5)))
+    parts = [part for part in vars(f).values() if isinstance(part, DistributionFn)]
+    assert len(parts) == {Convex: 2, Clamp: 3, Switch: 2}.get(type(f), 0)
+    xs = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+    for x in xs:
+        f.value(x)
+        f.left_limit(x)
+    f.values(np.array(xs))
+    f.jump_points()
+    # evaluation builds no table, in the function or in its parts
+    assert "_limits" not in vars(f)
+    assert all("_limits" not in vars(part) for part in parts)
+    # a pwl function's smallest preimage is a scan of its own, not a table search
+    searches = [f.largest_preimage] if isinstance(f, PiecewiseLinearWithJumps) else \
+        [f.smallest_preimage, f.largest_preimage]
+    for search in searches:
+        search(0.6)
+        table = vars(f)["_limits"]
+        search(0.3)
+        assert vars(f)["_limits"] is table
+    assert all("_limits" not in vars(part) for part in parts)
+    want = _LimitTable.of(f)
+    for name in _LimitTable._fields:
+        assert getattr(table, name) == getattr(want, name), name
 
 
 def test_step_tables_are_read_from_the_limits():

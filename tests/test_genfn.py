@@ -624,6 +624,14 @@ def test_a_stack_entry_on_a_degenerate_middle_branch_raises_as_a_call(make, z, s
     with pytest.raises(DegenerateModelError) as stacked:
         gen.values(np.array([0.0, 0.9, u, 1.0]))
     assert str(stacked.value) == str(scalar.value)
+    # with a nan entry too, the first of the two in C order raises its call's error
+    with pytest.raises(ValueError, match="got nan") as nan_call:
+        gen(math.nan)
+    for stack, first in (([[0.0, math.nan], [u, 1.0]], nan_call), ([[0.9, u], [math.nan, 1.0]], scalar)):
+        with pytest.raises(ValueError) as stacked:
+            gen.values(np.array(stack))
+        assert type(stacked.value) is type(first.value)
+        assert str(stacked.value) == str(first.value)
 
 
 @pytest.mark.parametrize("make", [extend_phi, extend_psi, extend_chi])
@@ -645,8 +653,13 @@ def test_every_jump_row_holds_both_limits_the_middle_branch_and_its_edges(make, 
     steps = isinstance(component, Discrete)
     assert (gen._steps is not None) == steps
     if steps:
-        cols = [gen.rows[x] for x in sorted(gen.rows)]
-        assert gen._steps[1].tolist() == np.array(cols + cols[-1:]).T.tolist()
+        # the rows as columns, a zero scale as nan, then a column of nans
+        cols = [row[:3] + (math.nan if row[3] == 0.0 else row[3],) + row[4:]
+                for row in (gen.rows[x] for x in sorted(gen.rows))]
+        want = np.array(cols + [(math.nan,) * 6]).T
+        assert any(math.isnan(col[3]) for col in cols)
+        assert [[v.hex() for v in col] for col in gen._steps[1].tolist()] \
+            == [[v.hex() for v in col] for col in want.tolist()]
 
 
 def test_a_step_stack_makes_no_search_while_a_continuous_one_searches_per_entry(monkeypatch):
